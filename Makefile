@@ -37,12 +37,12 @@ apicheck:
 # and the public-API diff.
 check: vet build test race torture apicheck
 
-# Multi-writer throughput sweep (group commit vs serialized vs baselines).
+# Multi-writer throughput sweep (group commit vs baselines).
 bench-concurrent:
 	$(GO) test ./internal/bench -run xxx -bench ConcurrentWrites -benchtime 1x
 
-# Multi-reader throughput sweep (epoch-pinned reads vs mutex-refcount
-# ablation, read-only + YCSB-B/C mixes, 1..16 threads); also writes the
+# Multi-reader throughput sweep (epoch-pinned reads, single engine and 4
+# shards, read-only + YCSB-B/C mixes, 1..16 threads); also writes the
 # machine-readable BENCH_readscale.json artifact to the repo root.
 bench-readscale:
 	$(GO) run ./cmd/miodb-repro -experiment readscale -json_dir .
@@ -83,10 +83,8 @@ bench-membalance:
 bench-valuesize:
 	$(GO) run ./cmd/miodb-repro -experiment valuesize -json_dir .
 
-# Capture mutex/block contention profiles from 8-thread read-only
-# readscale runs of both read-path arms (epoch-pinned and the
-# mutex-refcount ablation, so the removed db.mu contention is visible
-# side by side). Inspect with:
+# Capture mutex/block contention profiles from an 8-thread read-only
+# readscale run of the epoch-pinned read path. Inspect with:
 #   go tool pprof profiles/readscale.test profiles/mutex.out
 #   go tool pprof profiles/readscale.test profiles/block.out
 profile:

@@ -37,8 +37,6 @@ func main() {
 		threads    = flag.Int("threads", 1, "concurrent goroutines for fill and readrandom benchmarks")
 		batch      = flag.Int("batch", 1, "client-side batch size for concurrent fills (uses MPUT-style batches when > 1)")
 		zipfian    = flag.Bool("zipfian", false, "use zipfian keys for concurrent fills (default uniform)")
-		noGroup    = flag.Bool("no_group_commit", false, "disable miodb's group-commit pipeline (serialized write path)")
-		mutexReads = flag.Bool("mutex_reads", false, "disable miodb's lock-free read path (mutex-refcount version pinning)")
 		softImms   = flag.Int("soft_imms", 0, "miodb admission control: throttle commits at this imms backlog (0 = off)")
 		hardImms   = flag.Int("hard_imms", 0, "miodb admission control: block commits at this imms backlog (0 = off)")
 		memBudget  = flag.Int64("memory_budget", 0, "global memtable budget in bytes split across shards (0 = per-shard write_buffer_size)")
@@ -65,12 +63,6 @@ func main() {
 		Shards:       *shards,
 		SSD:          *ssd,
 		Simulate:     true,
-	}
-	if *noGroup {
-		cfg.GroupCommit = core.Bool(false)
-	}
-	if *mutexReads {
-		cfg.EpochReads = core.Bool(false)
 	}
 	if *softImms > 0 || *hardImms > 0 {
 		cfg.Admission = &core.AdmissionOptions{SoftImms: *softImms, HardImms: *hardImms}

@@ -1,16 +1,14 @@
 // Command miodb-server exposes any of the four stores over TCP with the
 // repository's binary protocol (internal/server), turning the
-// reproduction into a network-attachable KV service. Both protocol
-// versions are served on one port: the legacy lockstep framing and the
-// tagged pipelined framing (many requests in flight per connection,
-// all connections' writes feeding shared group commits).
+// reproduction into a network-attachable KV service. The protocol is
+// tagged and pipelined: many requests in flight per connection, all
+// connections' writes feeding shared group commits.
 //
 // Example:
 //
 //	miodb-server -addr 127.0.0.1:7707 -store miodb -window 256
 //
-// The matching Go clients are internal/client (pipelined) and
-// internal/server.Client (legacy).
+// The matching Go client is internal/client.
 package main
 
 import (

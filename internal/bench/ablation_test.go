@@ -44,7 +44,7 @@ func TestAblationEffectsMeasurable(t *testing.T) {
 	baseWA, baseWritten := run(nil)
 
 	// Copying merges must write strictly more NVM than zero-copy merges.
-	copyWA, copyWritten := run(func(c *Config) { c.ZeroCopyMerge = boolp(false) })
+	copyWA, copyWritten := run(func(c *Config) { c.DisableZeroCopyMerge = true })
 	if copyWA <= baseWA || copyWritten <= baseWritten {
 		t.Errorf("no-zero-copy WA %.2f (traffic %d) not above baseline %.2f (%d)",
 			copyWA, copyWritten, baseWA, baseWritten)

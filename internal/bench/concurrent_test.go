@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"testing"
-
-	"miodb/internal/core"
 )
 
 // BenchmarkConcurrentWrites measures multi-writer fill throughput with
@@ -26,15 +24,11 @@ func BenchmarkConcurrentWrites(b *testing.B) {
 		cfg  Config
 	}{
 		{"miodb", Config{Kind: MioDB, Simulate: true}},
-		// The seed's write path: every writer commits individually under
-		// the commit lock with a per-record WAL append. This is the
-		// baseline the ≥2× group-commit claim is measured against.
-		{"miodb-serial", Config{Kind: MioDB, Simulate: true, GroupCommit: core.Bool(false)}},
 		{"novelsm", Config{Kind: NoveLSM, Simulate: true}},
 		{"matrixkv", Config{Kind: MatrixKV, Simulate: true}},
 	}
 	if testing.Short() {
-		arms = arms[:2]
+		arms = arms[:1]
 	}
 	for _, arm := range arms {
 		for _, dist := range []KeyDist{Uniform, Zipfian} {

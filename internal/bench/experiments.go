@@ -658,9 +658,9 @@ func Ablations(p Params) (*Report, error) {
 		mutate func(*Config)
 	}{
 		{"baseline", nil},
-		{"no-one-piece-flush", func(c *Config) { c.OnePieceFlush = boolp(false) }},
-		{"no-zero-copy-merge", func(c *Config) { c.ZeroCopyMerge = boolp(false) }},
-		{"no-parallel-compaction", func(c *Config) { c.ParallelCompaction = boolp(false) }},
+		{"no-one-piece-flush", func(c *Config) { c.DisableOnePieceFlush = true }},
+		{"no-zero-copy-merge", func(c *Config) { c.DisableZeroCopyMerge = true }},
+		{"no-parallel-compaction", func(c *Config) { c.DisableParallelCompaction = true }},
 		{"no-bloom-filters", func(c *Config) { c.DisableBloom = true }},
 		{"no-wal", func(c *Config) { c.DisableWAL = true }},
 	}
@@ -705,8 +705,6 @@ func Ablations(p Params) (*Report, error) {
 	r.Printf("shape: removing one-piece flush slows flushes; removing zero-copy raises WA; removing bloom filters hurts reads; removing parallel compaction slows the drain.")
 	return r, nil
 }
-
-func boolp(b bool) *bool { return &b }
 
 // RunAll executes every experiment in order.
 func RunAll(p Params) ([]*Report, error) {

@@ -78,14 +78,12 @@ type Config struct {
 	// experiment compares the two at equal total memory.
 	Governor *shard.GovernorOptions
 
-	// MioDB ablation switches (nil = paper defaults).
-	ParallelCompaction *bool
-	ZeroCopyMerge      *bool
-	OnePieceFlush      *bool
-	GroupCommit        *bool
-	EpochReads         *bool
-	DisableBloom       bool
-	DisableWAL         bool
+	// MioDB ablation switches (zero = paper defaults).
+	DisableParallelCompaction bool
+	DisableZeroCopyMerge      bool
+	DisableOnePieceFlush      bool
+	DisableBloom              bool
+	DisableWAL                bool
 }
 
 func (c Config) withDefaults() Config {
@@ -150,18 +148,16 @@ func OpenStore(c Config) (Store, error) {
 	switch c.Kind {
 	case MioDB:
 		opts := core.Options{
-			MemTableSize:       c.MemTableSize,
-			Levels:             c.Levels,
-			Simulate:           c.Simulate,
-			TimeScale:          c.TimeScale,
-			ParallelCompaction: c.ParallelCompaction,
-			ZeroCopyMerge:      c.ZeroCopyMerge,
-			OnePieceFlush:      c.OnePieceFlush,
-			GroupCommit:        c.GroupCommit,
-			EpochReads:         c.EpochReads,
-			DisableWAL:         c.DisableWAL,
-			Admission:          c.Admission,
-			ValueLog:           c.ValueLog,
+			MemTableSize:              c.MemTableSize,
+			Levels:                    c.Levels,
+			Simulate:                  c.Simulate,
+			TimeScale:                 c.TimeScale,
+			DisableParallelCompaction: c.DisableParallelCompaction,
+			DisableZeroCopyMerge:      c.DisableZeroCopyMerge,
+			DisableOnePieceFlush:      c.DisableOnePieceFlush,
+			DisableWAL:                c.DisableWAL,
+			Admission:                 c.Admission,
+			ValueLog:                  c.ValueLog,
 		}
 		if c.DisableBloom {
 			opts.BloomBitsPerKey = -1

@@ -97,9 +97,9 @@ func (db *DB) CheckRegionAccounting() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	// The no-op edit retires the current version (freezing its release
-	// queue onto the chain) and, in epoch mode, runs a blocking
-	// advance-and-sweep: with no concurrent readers announced, both epoch
-	// advances succeed and the whole chain drains synchronously.
+	// queue onto the chain) and runs a blocking advance-and-sweep: with no
+	// concurrent readers announced, both epoch advances succeed and the
+	// whole chain drains synchronously.
 	db.editVersionLocked(func(*version) {})
 	db.sweepMu.Lock()
 	drained := db.oldest == db.current.Load()

@@ -198,7 +198,7 @@ func (db *DB) mergeOnce(level int) error {
 
 	var result *pmtable.Table
 	var release func()
-	if *db.opts.ZeroCopyMerge {
+	if !db.opts.DisableZeroCopyMerge {
 		result = m.Run()
 	} else {
 		var err error

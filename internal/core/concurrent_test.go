@@ -132,22 +132,3 @@ func TestConcurrentWritersGroupCommit(t *testing.T) {
 	}
 	checkContents(t, re, want, "post-recovery")
 }
-
-// TestConcurrentWritersSerialAblation runs the same workload with
-// GroupCommit disabled: the serialized path must be just as correct, and
-// must report no write groups.
-func TestConcurrentWritersSerialAblation(t *testing.T) {
-	opts := smallOpts()
-	opts.GroupCommit = Bool(false)
-	db := mustOpen(t, opts)
-	defer db.Close()
-
-	want, records := runConcurrentWriters(t, db, 4, 150)
-	if got := db.seq.Load(); int64(got) != records {
-		t.Fatalf("sequence space not dense: last seq %d, %d records", got, records)
-	}
-	if st := db.Stats(); st.WriteGroups != 0 || st.GroupedWrites != 0 {
-		t.Fatalf("serialized path reported groups: %d/%d", st.WriteGroups, st.GroupedWrites)
-	}
-	checkContents(t, db, want, "serial")
-}

@@ -70,6 +70,9 @@ type DB struct {
 	writeMu  sync.Mutex
 	writers  []*groupWriter
 	commitMu sync.Mutex
+	// walRecs is commitLocked's reusable WAL record scratch (under
+	// commitMu), so a commit allocates no record slice.
+	walRecs []wal.Record
 	// inflight counts commit() calls currently in progress; leaders use it
 	// to decide whether yielding to grow their group can possibly help.
 	inflight atomic.Int64
@@ -92,16 +95,13 @@ type DB struct {
 	// read by anyone. See epoch.go for the reclamation protocol.
 	current atomic.Pointer[version]
 
-	// Epoch-based reader reclamation (epoch.go). epochReads selects the
-	// lock-free read path; false restores the seed's mutex-refcount
-	// acquire/release as a measurable ablation.
-	epochReads   bool
+	// Epoch-based reader reclamation (epoch.go).
 	epoch        atomic.Uint64
 	epochSlots   []epochSlot
 	gracePending atomic.Int64 // retired versions awaiting their grace period
-	// sweepMu serializes grace-period sweeps and guards db.oldest in
-	// epoch mode. Lock order: db.mu → sweepMu (readers take sweepMu
-	// alone, and only via TryLock).
+	// sweepMu serializes grace-period sweeps and guards db.oldest. Lock
+	// order: db.mu → sweepMu (readers take sweepMu alone, and only via
+	// TryLock).
 	sweepMu sync.Mutex
 
 	// closedFlag mirrors db.closed for the lock-free read path: readers
@@ -135,6 +135,8 @@ type DB struct {
 	oldest         *version
 	merges         []*activeMerge // at most one per level
 	repoCompacting bool           // a repository garbage rebuild is running
+	vlogGCKicked   bool           // a value-log GC kick awaits the GC loop
+	vlogGCRunning  bool           // the GC loop is running a round
 	closed         bool
 	abandon        bool // simulated crash: background loops exit without draining
 	// bgErr is the sticky background error: once a background I/O path
@@ -291,7 +293,7 @@ func (db *DB) newMemHandle() (*memHandle, error) {
 func (db *DB) startBackground() {
 	db.wg.Add(1)
 	go db.flushLoop()
-	if *db.opts.ParallelCompaction {
+	if !db.opts.DisableParallelCompaction {
 		for level := 0; level < db.opts.Levels-1; level++ {
 			db.wg.Add(1)
 			go db.compactLoop(level)
@@ -403,29 +405,19 @@ func (db *DB) commit(ops []batchOp) error {
 // pops the group and hands leadership to the new head. Followers return
 // the group's shared result without touching the WAL or memtable.
 func (db *DB) commitOps(ops []batchOp) error {
-	if !*db.opts.GroupCommit {
-		return db.commitSerial(ops)
-	}
 	db.inflight.Add(1)
 	defer db.inflight.Add(-1)
 
-	// Uncontended fast path: a lone writer with a single record gains
-	// nothing from the queue — it would elect itself leader, form a group
-	// of one, and pay the groupWriter allocation, two extra writeMu
-	// round-trips, and a condvar setup for nothing. Commit it directly.
-	// Multi-op batches stay on the group path so they keep the single
-	// AppendBatch framing even when alone. inflight was incremented above,
-	// so a second writer arriving now sees Load() > 1 and queues normally;
-	// commitSerial and commitGroup both serialize under commitMu, so the
-	// two paths never interleave within a commit. The bypass still counts
-	// as a group of one, keeping the invariant that every write in this
-	// configuration is accounted to exactly one commit (GroupedWrites
-	// equals total writes; mean group size ≈ 1 when writers are alone).
-	if len(ops) == 1 && db.inflight.Load() == 1 {
-		err := db.commitSerial(ops)
-		if err == nil {
-			db.st.AddWriteGroup(1)
-		}
+	// Uncontended fast path: a lone writer gains nothing from the queue —
+	// it would elect itself leader, form a group of one, and pay the
+	// groupWriter allocation, two extra writeMu round-trips, and a condvar
+	// setup for nothing. Commit it directly. inflight was incremented
+	// above, so a second writer arriving now sees Load() > 1 and queues
+	// normally; both paths commit under commitMu, so they never interleave.
+	if db.inflight.Load() == 1 {
+		db.commitMu.Lock()
+		err := db.commitLocked(ops)
+		db.commitMu.Unlock()
 		return err
 	}
 
@@ -459,7 +451,8 @@ func (db *DB) commitOps(ops []batchOp) error {
 		db.writeMu.Lock()
 	}
 
-	// Leader: snapshot the group — self plus queued followers, capped.
+	// Leader: snapshot the group — self plus queued followers, capped —
+	// and flatten it into one op slice.
 	group := []*groupWriter{w}
 	size := opsBytes(ops)
 	for _, f := range db.writers[1:] {
@@ -471,11 +464,18 @@ func (db *DB) commitOps(ops []batchOp) error {
 		group = append(group, f)
 	}
 	db.writeMu.Unlock()
+	flat := ops
+	if len(group) > 1 {
+		flat = nil
+		for _, f := range group {
+			flat = append(flat, f.ops...)
+		}
+	}
 
 	// Commit outside writeMu so new writers keep enqueueing behind the
 	// group; they cannot become leader until this group is popped.
 	db.commitMu.Lock()
-	err := db.commitGroup(group)
+	err := db.commitLocked(flat)
 	db.commitMu.Unlock()
 
 	db.writeMu.Lock()
@@ -498,10 +498,11 @@ func (db *DB) commitOps(ops []batchOp) error {
 	return err
 }
 
-// commitGroup applies one coalesced group: consecutive sequence numbers,
-// a single WAL append framing every record, then bulk memtable inserts.
-// Callers hold commitMu, so rotation cannot interleave with the insert.
-func (db *DB) commitGroup(group []*groupWriter) error {
+// commitLocked applies one commit — a lone writer's ops or a leader's
+// flattened group: consecutive sequence numbers, a single WAL append
+// framing every record, then bulk memtable inserts. Callers hold
+// commitMu, so rotation cannot interleave with the insert.
+func (db *DB) commitLocked(ops []batchOp) error {
 	if err := db.writeGate(); err != nil {
 		return err
 	}
@@ -516,54 +517,53 @@ func (db *DB) commitGroup(group []*groupWriter) error {
 	// installed version's memtable is stable for the whole commit.
 	mem := db.current.Load().mem
 
-	nops := 0
-	for _, f := range group {
-		nops += len(f.ops)
-	}
+	nops := len(ops)
 	firstSeq := db.seq.Load() + 1
+	lastSeq := firstSeq + uint64(nops) - 1
 
-	// Flatten the group once. With key-value separation on, large values
-	// are appended to the value log here — value bytes before pointer, so
-	// the WAL record that commits a pointer is durable strictly after the
-	// bytes it references — and the flat ops carry 16-byte addresses.
-	flat := make([]batchOp, 0, nops)
-	for _, f := range group {
-		flat = append(flat, f.ops...)
-	}
+	// With key-value separation on, large values are appended to the
+	// value log here — value bytes before pointer, so the WAL record that
+	// commits a pointer is durable strictly after the bytes it references
+	// — and the ops carry 16-byte addresses from here on.
 	var sepBytes int64
 	if db.vlog != nil {
 		var err error
-		flat, sepBytes, err = db.separateOps(flat, firstSeq)
+		ops, sepBytes, err = db.separateOps(ops, firstSeq)
 		if err != nil {
 			// Separated values may sit in the log unreferenced (dead space
 			// GC reclaims later); burn the sequence range so the seqs
 			// stamped into those entries are never reused by an acked
 			// commit.
-			db.seq.Store(firstSeq + uint64(nops) - 1)
+			db.seq.Store(lastSeq)
 			return err
 		}
 	}
 
-	// Log the whole group first with one coalesced append: a crash during
+	// Log every record first with one coalesced append: a crash during
 	// insertion replays every record from the WAL (all-or-prefix per
-	// group), and the NVM device is charged one sequential write instead
+	// commit), and the NVM device is charged one sequential write instead
 	// of one per record.
 	if mem.log != nil {
-		recs := make([]wal.Record, 0, nops)
+		recs := db.walRecs[:0]
 		seq := firstSeq
-		for _, op := range flat {
+		for _, op := range ops {
 			recs = append(recs, wal.Record{Key: op.key, Value: op.value, Seq: seq, Kind: op.kind})
 			seq++
 		}
-		if err := mem.log.AppendBatch(recs); err != nil {
-			// A prefix of the group may be durably logged (all-or-prefix
-			// per run). Burn the whole group's sequence range so no later
-			// commit can reuse a sequence number a logged record already
-			// carries — replay must never see two records with one seq.
-			// The group is reported failed; its logged prefix may
-			// resurface after a crash as unacknowledged writes, the
-			// standard all-or-prefix contract.
-			db.seq.Store(firstSeq + uint64(nops) - 1)
+		err := mem.log.AppendBatch(recs)
+		// Keep the scratch's capacity but not the callers' key and value
+		// buffers.
+		clear(recs)
+		db.walRecs = recs[:0]
+		if err != nil {
+			// A prefix of the commit may be durably logged (all-or-prefix
+			// per run). Burn the whole sequence range so no later commit
+			// can reuse a sequence number a logged record already carries
+			// — replay must never see two records with one seq. The commit
+			// is reported failed; its logged prefix may resurface after a
+			// crash as unacknowledged writes, the standard all-or-prefix
+			// contract.
+			db.seq.Store(lastSeq)
 			if mem.log.Poisoned() {
 				// A torn prefix is on the media: nothing appended behind
 				// it could ever be replayed, so the store must stop
@@ -577,7 +577,7 @@ func (db *DB) commitGroup(group []*groupWriter) error {
 	seq := firstSeq
 	var userBytes int64
 	var puts, deletes int64
-	for _, op := range flat {
+	for _, op := range ops {
 		if op.kind == keys.KindRangeDelete {
 			// Logged like any record, but never inserted into the skip
 			// list: the tombstone lands in the version side table (and
@@ -595,7 +595,7 @@ func (db *DB) commitGroup(group []*groupWriter) error {
 			// Every record is already durably logged: burn the whole
 			// range and keep the memtable's seq window covering what
 			// did land.
-			db.seq.Store(firstSeq + uint64(nops) - 1)
+			db.seq.Store(lastSeq)
 			if seq > firstSeq {
 				if mem.minSeq == 0 {
 					mem.minSeq = firstSeq
@@ -614,118 +614,19 @@ func (db *DB) commitGroup(group []*groupWriter) error {
 		}
 		seq++
 	}
-	lastSeq := firstSeq + uint64(nops) - 1
 	db.seq.Store(lastSeq)
 	if mem.minSeq == 0 {
 		mem.minSeq = firstSeq
 	}
 	mem.maxSeq = lastSeq
 
-	// sepBytes restores the user-byte count of separated values (the flat
-	// ops only carry their 16-byte pointers) so write amplification keeps
+	// sepBytes restores the user-byte count of separated values (the ops
+	// only carry their 16-byte pointers) so write amplification keeps
 	// dividing by what the client actually wrote.
 	db.st.AddUserBytes(userBytes + sepBytes)
 	db.st.CountPuts(puts)
 	db.st.CountDeletes(deletes)
 	db.st.AddWriteGroup(nops)
-	return nil
-}
-
-// commitSerial is the GroupCommit=false ablation: every write commits
-// individually under commitMu with one WAL append per record — the
-// serialized write path the seed used and the concurrent-writer
-// benchmarks compare against. No groups form, so group stats stay zero.
-func (db *DB) commitSerial(ops []batchOp) error {
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
-
-	if err := db.writeGate(); err != nil {
-		return err
-	}
-	if err := db.admitWrite(); err != nil {
-		return err
-	}
-	if err := db.makeRoomForWrite(); err != nil {
-		return err
-	}
-
-	mem := db.current.Load().mem
-
-	firstSeq := db.seq.Load() + 1
-	nops := len(ops)
-	var sepBytes int64
-	if db.vlog != nil {
-		var err error
-		ops, sepBytes, err = db.separateOps(ops, firstSeq)
-		if err != nil {
-			// Burn the range: seqs stamped into orphaned log entries must
-			// never be reused by an acked commit (see commitGroup).
-			db.seq.Store(firstSeq + uint64(nops) - 1)
-			return err
-		}
-	}
-	seq := firstSeq
-	var userBytes int64
-	var puts, deletes int64
-	// finishPartial seals the bookkeeping of a batch that failed after
-	// part of it was logged/inserted: sequence numbers up to lastUsed are
-	// consumed forever (reuse would let replay see duplicate seqs), and
-	// the memtable's seq range must cover what was actually inserted.
-	finishPartial := func(lastUsed, lastInserted uint64) {
-		if lastUsed >= firstSeq {
-			db.seq.Store(lastUsed)
-		}
-		if lastInserted >= firstSeq {
-			if mem.minSeq == 0 {
-				mem.minSeq = firstSeq
-			}
-			if lastInserted > mem.maxSeq {
-				mem.maxSeq = lastInserted
-			}
-		}
-	}
-	for _, op := range ops {
-		if mem.log != nil {
-			if err := mem.log.Append(op.key, op.value, seq, op.kind); err != nil {
-				finishPartial(seq-1, seq-1)
-				if mem.log.Poisoned() {
-					db.degrade("wal append", err)
-				}
-				return err
-			}
-		}
-		if op.kind == keys.KindRangeDelete {
-			db.registerRangeTombstone(mem, rangeTombstone{
-				start: append([]byte(nil), op.key...),
-				end:   append([]byte(nil), op.value...),
-				seq:   seq,
-			})
-			deletes++
-			seq++
-			continue
-		}
-		if err := mem.mt.Add(op.key, op.value, seq, op.kind); err != nil {
-			finishPartial(seq, seq-1)
-			return err
-		}
-		userBytes += int64(len(op.key) + len(op.value))
-		if op.kind == keys.KindDelete {
-			deletes++
-		} else {
-			puts++
-		}
-		seq++
-	}
-	lastSeq := firstSeq + uint64(len(ops)) - 1
-	db.seq.Store(lastSeq)
-	if mem.minSeq == 0 {
-		mem.minSeq = firstSeq
-	}
-	mem.maxSeq = lastSeq
-
-	db.st.AddUserBytes(userBytes + sepBytes)
-	db.st.CountPuts(puts)
-	db.st.CountDeletes(deletes)
 	return nil
 }
 
@@ -1182,9 +1083,9 @@ func (db *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) err
 	return it.err
 }
 
-// WaitIdle blocks until all queued flushes, zero-copy merges, and
-// lazy-copy compactions have drained (benchmarks call it between load and
-// read phases).
+// WaitIdle blocks until all queued flushes, zero-copy merges, lazy-copy
+// compactions, and value-log GC rounds have drained (benchmarks call it
+// between load and read phases).
 func (db *DB) WaitIdle() {
 	db.mu.Lock()
 	// A degraded store's background loops have stopped: queued work will
@@ -1203,7 +1104,7 @@ func (db *DB) idleLocked() bool {
 	if len(v.imms) > 0 {
 		return false
 	}
-	if len(db.merges) > 0 || db.repoCompacting {
+	if len(db.merges) > 0 || db.repoCompacting || db.vlogGCKicked || db.vlogGCRunning {
 		return false
 	}
 	for level := 0; level < len(v.levels)-1; level++ {

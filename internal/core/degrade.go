@@ -49,9 +49,7 @@ func (db *DB) degradeLocked(op string, err error) {
 	// their synchronous sweeps) may ever run; kick one last opportunistic
 	// sweep so retired versions whose grace period has already elapsed are
 	// reclaimed rather than parked until Close.
-	if db.epochReads {
-		db.trySweep()
-	}
+	db.trySweep()
 }
 
 // degrade is degradeLocked for callers not holding db.mu.

@@ -51,10 +51,6 @@
 // advance (the check is conservative), never permit one: a bucket gains a
 // validated occupant only while the global epoch equals that bucket's
 // epoch.
-//
-// The mutex-refcount baseline (Options.EpochReads = false) keeps the
-// seed's behavior — acquire/release under db.mu with per-version
-// refcounts — as a measurable ablation arm (see the readscale experiment).
 package core
 
 import (
@@ -89,31 +85,21 @@ type epochSlot struct {
 
 // initEpochs sets up the reader-reclamation machinery (Open and Recover).
 func (db *DB) initEpochs() {
-	db.epochReads = *db.opts.EpochReads
 	db.epoch.Store(firstEpoch)
 	db.epochSlots = make([]epochSlot, epochSlotCount)
 }
 
-// versionPin is a reader's hold on a version snapshot. In epoch mode it
-// records the slot/bucket the reader announced in; in the mutex-refcount
-// ablation the slot is nil and the pin is the version's refcount.
+// versionPin is a reader's hold on a version snapshot: the slot and
+// bucket the reader announced in.
 type versionPin struct {
 	v      *version
 	slot   *epochSlot
 	bucket uint32
 }
 
-// acquireVersion pins the current version for reading. In epoch mode it
-// touches only its striped slot and two atomic loads — never db.mu.
+// acquireVersion pins the current version for reading. It touches only
+// its striped slot and two atomic loads — never db.mu.
 func (db *DB) acquireVersion() versionPin {
-	if !db.epochReads {
-		// Mutex-refcount ablation: the seed's read path.
-		db.mu.Lock()
-		v := db.current.Load()
-		v.refs.Add(1)
-		db.mu.Unlock()
-		return versionPin{v: v}
-	}
 	// rand/v2's top-level generator is per-core (runtime cheaprand), so
 	// picking the stripe costs a few nanoseconds and no shared state.
 	s := &db.epochSlots[rand.Uint32()&(epochSlotCount-1)]
@@ -133,17 +119,10 @@ func (db *DB) acquireVersion() versionPin {
 	}
 }
 
-// releaseVersion exits a reader pin. In epoch mode the exit is one atomic
-// decrement plus an opportunistic (non-blocking) sweep when retired
-// versions are waiting on their grace period.
+// releaseVersion exits a reader pin: one atomic decrement plus an
+// opportunistic (non-blocking) sweep when retired versions are waiting on
+// their grace period.
 func (db *DB) releaseVersion(p versionPin) {
-	if p.slot == nil {
-		db.mu.Lock()
-		p.v.refs.Add(-1)
-		db.sweepVersionsLocked()
-		db.mu.Unlock()
-		return
-	}
 	p.slot.counts[p.bucket].Add(-1)
 	if db.gracePending.Load() > 0 {
 		db.trySweep()
@@ -251,21 +230,6 @@ func (db *DB) readersQuiescent() bool {
 // operations exit promptly; a leaked open Iterator blocks Close by
 // design (the caller owns its lifetime).
 func (db *DB) waitReadersDrained() {
-	if !db.epochReads {
-		// Mutex-refcount ablation: wait for the chain to drain to the
-		// current version with only the store's own reference left.
-		for {
-			db.mu.Lock()
-			db.sweepVersionsLocked()
-			done := db.oldest == db.current.Load() && db.current.Load().refs.Load() == 1
-			db.mu.Unlock()
-			if done {
-				return
-			}
-			runtime.Gosched()
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
 	for i := 0; !db.readersQuiescent(); i++ {
 		runtime.Gosched()
 		if i > 100 {
@@ -284,15 +248,8 @@ func (db *DB) waitReadersDrained() {
 // awaiting their grace period. The current version's own queue is
 // excluded — its resources are not pending release, they are live.
 func (db *DB) versionChainGauge() (liveVersions int64, pendingReleases int64, epoch uint64) {
-	unlock := func() {}
-	if db.epochReads {
-		db.sweepMu.Lock()
-		unlock = db.sweepMu.Unlock
-	} else {
-		db.mu.Lock()
-		unlock = db.mu.Unlock
-	}
-	defer unlock()
+	db.sweepMu.Lock()
+	defer db.sweepMu.Unlock()
 	cur := db.current.Load()
 	for v := db.oldest; v != nil; v = v.next {
 		liveVersions++

@@ -51,7 +51,7 @@ func (db *DB) flushOne(h *memHandle) error {
 	}
 
 	var table *pmtable.Table
-	if *db.opts.OnePieceFlush {
+	if !db.opts.DisableOnePieceFlush {
 		table = pmtable.Flush(db.nvm, h.mt, db.tableID.Add(1), h.minSeq, h.maxSeq, db.fp)
 	} else {
 		// Ablation: copy entries one by one into a fresh NVM skip list —

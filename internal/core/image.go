@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -25,6 +26,8 @@ import (
 //	per region: index(4) | chunkSize(4) | extent(8) | crc32(4) | data
 //
 // The data of each region is its allocated extent, written chunk by chunk.
+// The crc32 covers the index, chunkSize and extent fields and then the
+// data, so a damaged header is caught like damaged data.
 const imageMagic = 0x4d696f4442696d67 // "MioDBimg"
 
 // WriteImage serializes the store's persistent (NVM) state. The store
@@ -49,15 +52,16 @@ func (db *DB) WriteImage(w io.Writer) error {
 	}
 	for _, r := range regions {
 		extent := r.Size()
-		crc := crc32.NewIEEE()
-		// First pass: checksum the content.
-		if err := writeRegionData(io.MultiWriter(crc), r, extent); err != nil {
-			return err
-		}
 		var rh [20]byte
 		binary.LittleEndian.PutUint32(rh[0:4], r.Index())
 		binary.LittleEndian.PutUint32(rh[4:8], uint32(r.ChunkSize()))
 		binary.LittleEndian.PutUint64(rh[8:16], uint64(extent))
+		// First pass: checksum the header fields and the content.
+		crc := crc32.NewIEEE()
+		crc.Write(rh[0:16])
+		if err := writeRegionData(crc, r, extent); err != nil {
+			return err
+		}
 		binary.LittleEndian.PutUint32(rh[16:20], crc.Sum32())
 		if _, err := bw.Write(rh[:]); err != nil {
 			return err
@@ -147,7 +151,7 @@ func ReadImage(r io.Reader) (*CrashImage, error) {
 
 	space := vaddr.NewSpace()
 	dev := nvm.NewDevice(space, nvm.NVMProfile())
-	buf := make([]byte, 1<<20)
+	var data bytes.Buffer
 	for i := uint32(0); i < count; i++ {
 		var rh [20]byte
 		if _, err := io.ReadFull(br, rh[:]); err != nil {
@@ -157,6 +161,24 @@ func ReadImage(r io.Reader) (*CrashImage, error) {
 		chunkSize := int(binary.LittleEndian.Uint32(rh[4:8]))
 		extent := int64(binary.LittleEndian.Uint64(rh[8:16]))
 		wantCRC := binary.LittleEndian.Uint32(rh[16:20])
+		if extent < 0 || extent > vaddr.MaxRegionSize {
+			return nil, fmt.Errorf("miodb: image region %d has absurd extent %d", index, extent)
+		}
+
+		// Read and verify the data before the header sizes anything: a
+		// damaged index, chunk size or extent could otherwise make the
+		// restore allocate without bound. The buffer grows only as far as
+		// the stream really reaches.
+		data.Reset()
+		if _, err := io.CopyN(&data, br, extent); err != nil {
+			return nil, fmt.Errorf("miodb: image region %d data: %w", index, err)
+		}
+		crc := crc32.NewIEEE()
+		crc.Write(rh[0:16])
+		crc.Write(data.Bytes())
+		if crc.Sum32() != wantCRC {
+			return nil, fmt.Errorf("miodb: image region %d checksum mismatch", index)
+		}
 
 		region, err := space.Restore(index, chunkSize, dev)
 		if err != nil {
@@ -165,24 +187,10 @@ func ReadImage(r io.Reader) (*CrashImage, error) {
 		if err := region.RestoreExtent(extent); err != nil {
 			return nil, err
 		}
-		crc := crc32.NewIEEE()
 		chunk := int64(region.ChunkSize())
 		for off := int64(0); off < extent; off += chunk {
-			n := chunk
-			if off+n > extent {
-				n = extent - off
-			}
-			if int64(len(buf)) < n {
-				buf = make([]byte, n)
-			}
-			if _, err := io.ReadFull(br, buf[:n]); err != nil {
-				return nil, fmt.Errorf("miodb: image region %d data: %w", index, err)
-			}
-			crc.Write(buf[:n])
-			copy(region.Bytes(region.Base().Add(off), int(n)), buf[:n])
-		}
-		if crc.Sum32() != wantCRC {
-			return nil, fmt.Errorf("miodb: image region %d checksum mismatch", index)
+			n := min(chunk, extent-off)
+			copy(region.Bytes(region.Base().Add(off), int(n)), data.Bytes()[off:off+n])
 		}
 	}
 	return &CrashImage{Space: space, NVM: dev}, nil

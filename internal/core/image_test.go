@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -98,6 +99,41 @@ func TestOpenImageDetectsCorruption(t *testing.T) {
 	os.WriteFile(path, data, 0o644)
 	if _, err := OpenImage(path, opts); err == nil {
 		t.Error("corrupted image accepted (checksum miss)")
+	}
+}
+
+// TestReadImageRejectsEveryHeaderFlip damages each byte of each region
+// header in turn — index, chunk size, extent and checksum — and expects
+// every damaged image to be refused.
+func TestReadImageRejectsEveryHeaderFlip(t *testing.T) {
+	db := mustOpen(t, smallOpts())
+	for i := 0; i < 1000; i++ {
+		db.Put([]byte(fmt.Sprintf("key-%04d", i)), bytes.Repeat([]byte("v"), 64))
+	}
+	var img bytes.Buffer
+	if err := db.CheckpointTo(&img); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	data := img.Bytes()
+	if _, err := ReadImage(bytes.NewReader(data)); err != nil {
+		t.Fatalf("intact image refused: %v", err)
+	}
+
+	count := int(binary.LittleEndian.Uint32(data[8:12]))
+	off := 12
+	for r := 0; r < count; r++ {
+		for b := 0; b < 20; b++ {
+			data[off+b] ^= 0xff
+			if _, err := ReadImage(bytes.NewReader(data)); err == nil {
+				t.Errorf("region #%d: flip of header byte %d accepted", r, b)
+			}
+			data[off+b] ^= 0xff
+		}
+		off += 20 + int(binary.LittleEndian.Uint64(data[off+8:off+16]))
+	}
+	if off != len(data) {
+		t.Fatalf("walked %d of %d image bytes", off, len(data))
 	}
 }
 

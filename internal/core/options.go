@@ -31,35 +31,20 @@ type Options struct {
 	// DisableWAL turns off write-ahead logging (benchmark ablation).
 	DisableWAL bool
 
-	// ParallelCompaction runs one compaction goroutine per level (§4.5).
-	// When false a single goroutine serves all levels round-robin — the
-	// ablation Fig 9 contrasts with.
-	ParallelCompaction *bool
+	// DisableParallelCompaction serves all levels from a single
+	// round-robin compaction goroutine instead of one per level (§4.5) —
+	// the ablation Fig 9 contrasts with.
+	DisableParallelCompaction bool
 
-	// ZeroCopyMerge selects pointer-only merging in the elastic buffer.
-	// When false, merges physically copy nodes (ablation: what the
-	// elastic buffer would cost without byte addressability).
-	ZeroCopyMerge *bool
+	// DisableZeroCopyMerge makes merges in the elastic buffer physically
+	// copy nodes instead of relinking them (ablation: what the elastic
+	// buffer would cost without byte addressability).
+	DisableZeroCopyMerge bool
 
-	// OnePieceFlush selects whole-arena flushing (§4.2). When false, the
-	// flusher copies entries one by one into a fresh NVM skip list — the
-	// NoveLSM-style flush the paper's Fig 12 compares against.
-	OnePieceFlush *bool
-
-	// GroupCommit selects the leader-based group-commit write pipeline:
-	// concurrent writers coalesce into one WAL append and one bulk
-	// memtable insert. When false, every write commits individually under
-	// the commit lock with a per-record WAL append — the serialized write
-	// path the ablation benchmarks compare against.
-	GroupCommit *bool
-
-	// EpochReads selects the lock-free read path: the current version is
-	// published through an atomic pointer and readers pin snapshots via
-	// striped epoch slots, never touching the structural mutex (see
-	// epoch.go / DESIGN.md §8). When false, readers acquire and release
-	// versions under the global mutex with per-version refcounts — the
-	// serialized read path the readscale ablation compares against.
-	EpochReads *bool
+	// DisableOnePieceFlush makes the flusher copy entries one by one into
+	// a fresh NVM skip list instead of flushing the whole arena (§4.2) —
+	// the NoveLSM-style flush the paper's Fig 12 compares against.
+	DisableOnePieceFlush bool
 
 	// SSD enables the DRAM-NVM-SSD hierarchy (§5.4): the repository is
 	// replaced by leveled SSTables on a simulated SSD.
@@ -151,21 +136,6 @@ func (o Options) withDefaults() Options {
 	if o.FilterCapacity <= 0 {
 		o.FilterCapacity = 1 << 14
 	}
-	if o.ParallelCompaction == nil {
-		o.ParallelCompaction = boolPtr(true)
-	}
-	if o.ZeroCopyMerge == nil {
-		o.ZeroCopyMerge = boolPtr(true)
-	}
-	if o.OnePieceFlush == nil {
-		o.OnePieceFlush = boolPtr(true)
-	}
-	if o.GroupCommit == nil {
-		o.GroupCommit = boolPtr(true)
-	}
-	if o.EpochReads == nil {
-		o.EpochReads = boolPtr(true)
-	}
 	if o.TimeScale == 0 {
 		o.TimeScale = 1
 	}
@@ -194,11 +164,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-func boolPtr(b bool) *bool { return &b }
-
-// Bool is a helper for setting the ablation flags in Options literals.
-func Bool(b bool) *bool { return &b }
 
 // devices bundles the memory devices of one store instance.
 type devices struct {

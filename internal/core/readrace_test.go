@@ -142,91 +142,76 @@ func TestReadRaceEpoch(t *testing.T) {
 	runReadRace(t, smallOpts())
 }
 
-// TestReadRaceMutexAblation runs the identical workload through the
-// mutex-refcount ablation (the seed's read path): it must be equally
-// correct, just slower.
-func TestReadRaceMutexAblation(t *testing.T) {
-	opts := smallOpts()
-	opts.EpochReads = Bool(false)
-	runReadRace(t, opts)
-}
-
 // TestGetCloseRace exercises the Close-vs-reader seam: readers hammer
 // Get/Scan/NewIterator while Close tears the store down. Every read must
 // either succeed with a valid value or fail with ErrClosed — never crash,
 // and never observe torn-down state — and Close must wait for the reader
 // epochs to drain before returning.
 func TestGetCloseRace(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		epoch bool
-	}{{"epoch", true}, {"mutexread", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			opts := smallOpts()
-			opts.EpochReads = Bool(mode.epoch)
-			db := mustOpen(t, opts)
+	// Subtest named for the read path it exercises: the epoch pin.
+	t.Run("epoch", func(t *testing.T) {
+		db := mustOpen(t, smallOpts())
 
-			const keyCount = 64
-			key := func(i int) string { return fmt.Sprintf("cl-%04d", i%keyCount) }
-			for i := 0; i < keyCount; i++ {
-				if err := db.Put([]byte(key(i)), raceValue(key(i), 0)); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			var wg sync.WaitGroup
-			start := make(chan struct{})
-			const readers = 6
-			for r := 0; r < readers; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					<-start
-					for i := 0; ; i++ {
-						k := key(i*3 + r)
-						v, err := db.Get([]byte(k))
-						if err == ErrClosed {
-							return
-						}
-						if err != nil {
-							t.Errorf("reader %d: Get(%s): %v", r, k, err)
-							return
-						}
-						checkRaceValue(t, k, v)
-						if i%17 == 0 {
-							it := db.NewIterator()
-							if it.Err() == ErrClosed {
-								it.Close()
-								return
-							}
-							it.SeekToFirst()
-							if it.Valid() {
-								checkRaceValue(t, string(it.Key()), it.Value())
-							}
-							it.Close()
-						}
-					}
-				}(r)
-			}
-			close(start)
-			time.Sleep(10 * time.Millisecond)
-			if err := db.Close(); err != nil {
+		const keyCount = 64
+		key := func(i int) string { return fmt.Sprintf("cl-%04d", i%keyCount) }
+		for i := 0; i < keyCount; i++ {
+			if err := db.Put([]byte(key(i)), raceValue(key(i), 0)); err != nil {
 				t.Fatal(err)
 			}
-			// After Close returns, the epoch buckets must be fully drained:
-			// any straggler reader would still be announced.
-			wg.Wait()
-			if !db.readersQuiescent() {
-				t.Fatal("Close returned with reader epochs still announced")
-			}
-			if _, err := db.Get([]byte(key(0))); err != ErrClosed {
-				t.Fatalf("Get after Close = %v, want ErrClosed", err)
-			}
-			if it := db.NewIterator(); it.Err() != ErrClosed {
-				t.Fatalf("NewIterator after Close Err() = %v, want ErrClosed", it.Err())
-			}
-		})
-	}
+		}
+
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		const readers = 6
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				<-start
+				for i := 0; ; i++ {
+					k := key(i*3 + r)
+					v, err := db.Get([]byte(k))
+					if err == ErrClosed {
+						return
+					}
+					if err != nil {
+						t.Errorf("reader %d: Get(%s): %v", r, k, err)
+						return
+					}
+					checkRaceValue(t, k, v)
+					if i%17 == 0 {
+						it := db.NewIterator()
+						if it.Err() == ErrClosed {
+							it.Close()
+							return
+						}
+						it.SeekToFirst()
+						if it.Valid() {
+							checkRaceValue(t, string(it.Key()), it.Value())
+						}
+						it.Close()
+					}
+				}
+			}(r)
+		}
+		close(start)
+		time.Sleep(10 * time.Millisecond)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// After Close returns, the epoch buckets must be fully drained:
+		// any straggler reader would still be announced.
+		wg.Wait()
+		if !db.readersQuiescent() {
+			t.Fatal("Close returned with reader epochs still announced")
+		}
+		if _, err := db.Get([]byte(key(0))); err != ErrClosed {
+			t.Fatalf("Get after Close = %v, want ErrClosed", err)
+		}
+		if it := db.NewIterator(); it.Err() != ErrClosed {
+			t.Fatalf("NewIterator after Close Err() = %v, want ErrClosed", it.Err())
+		}
+	})
 }
 
 // TestCloseWaitsForIterator pins a version through an open iterator and

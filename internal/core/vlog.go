@@ -35,12 +35,17 @@ import (
 // relocations only target the active segment), so the pre-scan's live
 // set can only shrink before step 2's recheck.
 
-// kickValueLogGC nudges the GC loop (non-blocking). Compaction drops and
-// segment seals call it.
+// kickValueLogGC nudges the GC loop (non-blocking). Compaction drops
+// call it. The kick is recorded under db.mu before it is sent, so
+// WaitIdle never sees the store idle between a kick and the round that
+// serves it.
 func (db *DB) kickValueLogGC() {
 	if db.vlog == nil {
 		return
 	}
+	db.mu.Lock()
+	db.vlogGCKicked = true
+	db.mu.Unlock()
 	select {
 	case db.vlogKick <- struct{}{}:
 	default:
@@ -66,9 +71,17 @@ func (db *DB) vlogGCLoop() {
 			return
 		case <-db.vlogKick:
 		}
+		db.mu.Lock()
+		db.vlogGCKicked = false
+		db.vlogGCRunning = true
+		db.mu.Unlock()
 		// Errors are sticky elsewhere (degraded mode) or transient to this
 		// round; either way the loop keeps serving later kicks.
 		_, _ = db.RunValueLogGC()
+		db.mu.Lock()
+		db.vlogGCRunning = false
+		db.cond.Broadcast()
+		db.mu.Unlock()
 	}
 }
 

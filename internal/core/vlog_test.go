@@ -107,6 +107,30 @@ func TestValueLogFullPipeline(t *testing.T) {
 	}
 }
 
+// TestWaitIdleCoversValueLogGC kicks a background GC round and checks
+// that WaitIdle waits it out: a round still holding its pre-scan pin or
+// relocating values would leave the version chain undrained.
+func TestWaitIdleCoversValueLogGC(t *testing.T) {
+	db := mustOpen(t, vlogOpts())
+	defer db.Close()
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 20; i++ {
+			k := fmt.Sprintf("wi%03d", i)
+			if err := db.Put([]byte(k), bigVal(fmt.Sprintf("%s-r%d", k, round), 1<<10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.kickValueLogGC()
+		db.WaitIdle()
+		if err := db.CheckRegionAccounting(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if db.ValueLogCounters().GCSegmentsReclaimed == 0 {
+		t.Fatal("background GC reclaimed nothing")
+	}
+}
+
 func TestValueLogGCReclaimsAndPreservesLiveValues(t *testing.T) {
 	db := mustOpen(t, vlogOpts())
 	defer db.Close()
@@ -268,7 +292,7 @@ func TestValueLogOnSSDRefusals(t *testing.T) {
 	opts.ValueLog.OnSSD = true
 	db := mustOpen(t, opts)
 	defer db.Close()
-	large := bigVal("ssd", 4 << 10)
+	large := bigVal("ssd", 4<<10)
 	if err := db.Put([]byte("k"), large); err != nil {
 		t.Fatal(err)
 	}

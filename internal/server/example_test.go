@@ -3,6 +3,7 @@ package server_test
 import (
 	"fmt"
 
+	"miodb/internal/client"
 	"miodb/internal/core"
 	"miodb/internal/server"
 )
@@ -27,7 +28,7 @@ func Example() {
 	}
 	defer srv.Close()
 
-	c, err := server.Dial(addr.String())
+	c, err := client.Dial(addr.String(), client.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -14,6 +14,10 @@ import (
 	"miodb/internal/kvstore"
 )
 
+type miodbStore struct{ *core.DB }
+
+func (s miodbStore) Flush() error { return s.DB.FlushAll() }
+
 // startPipelinedServer brings up a server over a fresh MioDB store and
 // returns it with its address.
 func startPipelinedServer(t *testing.T, opts Options) (*Server, string) {
@@ -391,63 +395,31 @@ func TestCrossConnectionCoalescing(t *testing.T) {
 	}
 }
 
-// TestLegacyAndPipelinedShareServer runs both protocol versions against
-// one server instance and checks both see each other's writes.
-func TestLegacyAndPipelinedShareServer(t *testing.T) {
-	_, addr := startPipelinedServer(t, Options{})
-	legacy, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	v2 := dialV2(t, addr)
-
-	if err := legacy.Put([]byte("from-v1"), []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	v2.send(t, 9, OpPut, []byte("from-v2"), []byte("2"))
-	if tag, status, _ := v2.recv(t); tag != 9 || status != StatusOK {
-		t.Fatalf("v2 put: tag=%d status=%d", tag, status)
-	}
-	v2.send(t, 10, OpGet, []byte("from-v1"), nil)
-	if _, status, payload := v2.recv(t); status != StatusOK || string(payload) != "1" {
-		t.Fatalf("v2 get of v1 write: status=%d %q", status, payload)
-	}
-	if v, err := legacy.Get([]byte("from-v2")); err != nil || string(v) != "2" {
-		t.Fatalf("v1 get of v2 write: %q %v", v, err)
-	}
-	// Legacy stats line carries the per-op latency section too.
-	line, err := legacy.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(line, "lat_put_p50_us=") {
-		t.Errorf("stats missing latency section: %q", line)
-	}
-}
-
-// TestBadMagicRejected checks a connection leading with a corrupt magic
-// is dropped without wedging the server.
+// TestBadMagicRejected checks a connection that does not open with the
+// "MIO2" magic — a corrupt magic, or a request framed without one — is
+// dropped without wedging the server.
 func TestBadMagicRejected(t *testing.T) {
 	_, addr := startPipelinedServer(t, Options{})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	for _, preamble := range [][]byte{
+		{'M', 'I', 'O', 'X'},
+		{OpGet, 1, 0, 0, 0, 'k', 0, 0, 0, 0},
+	} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc.Write(preamble)
+		buf := make([]byte, 1)
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := nc.Read(buf); err == nil {
+			t.Errorf("server answered a connection opening with %q", preamble)
+		}
+		nc.Close()
 	}
-	nc.Write([]byte{'M', 'I', 'O', 'X'})
-	buf := make([]byte, 1)
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := nc.Read(buf); err == nil {
-		t.Error("server kept a bad-magic connection open")
-	}
-	nc.Close()
 	// The server still serves new connections.
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
+	c := dialV2(t, addr)
+	c.send(t, 1, OpPut, []byte("k"), []byte("v"))
+	if tag, status, payload := c.recv(t); tag != 1 || status != StatusOK {
+		t.Fatalf("put after bad preambles: tag=%d status=%d %q", tag, status, payload)
 	}
 }

@@ -1,27 +1,19 @@
 // Package server provides the TCP key-value service over any store in the
-// repository (MioDB or a baseline), plus the matching clients. It turns
-// the single-process reproduction into something a downstream user can
+// repository (MioDB or a baseline) and its wire codec. It turns the
+// single-process reproduction into something a downstream user can
 // actually deploy and benchmark over a network.
 //
-// Two wire formats share the port (all integers little-endian):
-//
-// Legacy (protocol v1), one request in flight per round trip:
-//
-//	request  := op(1) | keyLen(4) | key | valLen(4) | val
-//	response := status(1) | payloadLen(4) | payload
-//
-// Pipelined (protocol v2), negotiated by the client sending the 4-byte
-// magic "MIO2" immediately after connect. Every request carries a
-// client-chosen 8-byte tag; many requests may be in flight per
+// The wire protocol (v2; all integers little-endian) opens with the
+// client sending the 4-byte magic "MIO2" immediately after connect; the
+// server closes a connection that opens with anything else. Every request
+// carries a client-chosen 8-byte tag; many requests may be in flight per
 // connection and responses return in completion order, each echoing the
 // tag of the request it answers:
 //
 //	request  := tag(8) | op(1) | keyLen(4) | key | valLen(4) | val
 //	response := tag(8) | status(1) | payloadLen(4) | payload
 //
-// The magic's first byte (0x4D, 'M') is outside the op-code range, so a
-// server can sniff the version from the first byte of a connection.
-// internal/client speaks v2; the Client in this package speaks v1.
+// internal/client speaks it.
 //
 // For SCAN, key is the start key and val carries the 4-byte limit; the
 // response payload is a sequence of keyLen|key|valLen|val pairs.
@@ -84,8 +76,7 @@ const (
 	StatusError
 )
 
-// MagicV2 is the preamble a pipelined (protocol v2) client sends right
-// after connect. Its first byte is distinct from every op code.
+// MagicV2 is the preamble a client sends right after connect.
 var MagicV2 = [4]byte{'M', 'I', 'O', '2'}
 
 // maxFrame bounds any key/value/payload length on the wire.
@@ -123,20 +114,6 @@ func opName(op byte) string {
 	return fmt.Sprintf("op%d", op)
 }
 
-// writeFrame writes one length-prefixed byte string.
-func writeFrame(w io.Writer, b []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(b) == 0 {
-		return nil
-	}
-	_, err := w.Write(b)
-	return err
-}
-
 // readFrame reads one length-prefixed byte string.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
@@ -171,55 +148,6 @@ type request struct {
 	key, val []byte
 }
 
-// readRequestBody reads the key/value frames that follow an already-read
-// op byte — shared by the legacy reader (which reads the op itself) and
-// the v2 reader (which reads tag+op first).
-func readRequestBody(op byte, r io.Reader) (request, error) {
-	key, err := readFrame(r)
-	if err != nil {
-		return request{}, err
-	}
-	val, err := readFrame(r)
-	if err != nil {
-		return request{}, err
-	}
-	return request{op: op, key: key, val: val}, nil
-}
-
-func readRequest(r io.Reader) (request, error) {
-	var op [1]byte
-	if _, err := io.ReadFull(r, op[:]); err != nil {
-		return request{}, err
-	}
-	return readRequestBody(op[0], r)
-}
-
-func writeRequest(w io.Writer, op byte, key, val []byte) error {
-	if _, err := w.Write([]byte{op}); err != nil {
-		return err
-	}
-	if err := writeFrame(w, key); err != nil {
-		return err
-	}
-	return writeFrame(w, val)
-}
-
-func writeResponse(w io.Writer, status byte, payload []byte) error {
-	if _, err := w.Write([]byte{status}); err != nil {
-		return err
-	}
-	return writeFrame(w, payload)
-}
-
-func readResponse(r io.Reader) (byte, []byte, error) {
-	var status [1]byte
-	if _, err := io.ReadFull(r, status[:]); err != nil {
-		return 0, nil, err
-	}
-	payload, err := readFrame(r)
-	return status[0], payload, err
-}
-
 // AppendTaggedRequest appends one protocol-v2 request frame to dst and
 // returns the extended slice. Encoding into a single buffer lets callers
 // hand the whole frame to the transport in one write.
@@ -249,11 +177,15 @@ func readTaggedRequest(r io.Reader) (taggedRequest, error) {
 	if !validOp(op) {
 		return taggedRequest{}, fmt.Errorf("server: unknown op 0x%02x in tagged request", op)
 	}
-	req, err := readRequestBody(op, r)
+	key, err := readFrame(r)
 	if err != nil {
 		return taggedRequest{}, err
 	}
-	return taggedRequest{tag: tag, request: req}, nil
+	val, err := readFrame(r)
+	if err != nil {
+		return taggedRequest{}, err
+	}
+	return taggedRequest{tag: tag, request: request{op: op, key: key, val: val}}, nil
 }
 
 // appendTaggedResponse appends one v2 response frame to dst.

@@ -49,10 +49,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server serves a kvstore.Store over TCP. Legacy (v1) connections run
-// one request per round trip; pipelined (v2) connections are split into
-// a reader goroutine (decodes and dispatches) and a writer goroutine
-// (serializes tagged responses), so handling never blocks the socket.
+// Server serves a kvstore.Store over TCP with protocol v2. Each
+// connection is split into a reader goroutine (decodes and dispatches)
+// and a writer goroutine (serializes tagged responses), so handling never
+// blocks the socket.
 // Writes from every connection funnel through one shared batcher that
 // feeds the store's group-commit pipeline (see batcher.go).
 type Server struct {
@@ -128,13 +128,12 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// conn is one client connection in either protocol mode.
+// conn is one client connection.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
 
-	// Pipelined mode only:
 	writeCh chan tresp    // responses awaiting serialization (cap Window)
 	window  chan struct{} // in-flight slots (cap Window)
 	ops     sync.WaitGroup
@@ -220,30 +219,17 @@ func (c *conn) enqueue(r tresp) {
 	}
 }
 
-// serve sniffs the protocol version from the first byte: a v2 client
-// leads with the "MIO2" magic, whose first byte is outside the op-code
-// range; anything else is a legacy request stream.
+// serve checks the "MIO2" magic every client sends right after connect
+// and closes a connection that opens with anything else.
 func (s *Server) serve(c *conn) {
 	defer s.wg.Done()
-	first, err := c.br.ReadByte()
-	if err != nil {
+	var magic [4]byte
+	if _, err := io.ReadFull(c.br, magic[:]); err != nil || magic != MagicV2 {
 		c.shutdown()
 		s.forget(c)
 		return
 	}
-	if first == MagicV2[0] {
-		var rest [3]byte
-		if _, err := io.ReadFull(c.br, rest[:]); err != nil ||
-			rest != [3]byte{MagicV2[1], MagicV2[2], MagicV2[3]} {
-			c.shutdown()
-			s.forget(c)
-			return
-		}
-		s.servePipelined(c)
-		return
-	}
-	c.br.UnreadByte()
-	s.serveLegacy(c)
+	s.servePipelined(c)
 }
 
 func (s *Server) forget(c *conn) {
@@ -431,89 +417,6 @@ func (s *Server) delRangeOps(req request) ([]kvstore.BatchOp, string) {
 		return nil, ""
 	}
 	return []kvstore.BatchOp{{Key: req.key, Value: req.val, RangeDelete: true}}, ""
-}
-
-// serveLegacy is the v1 loop: one request, one synchronous response.
-// Writes still route through the shared batcher, so even legacy
-// connections contribute to (and benefit from) cross-connection
-// group commit.
-func (s *Server) serveLegacy(c *conn) {
-	defer func() {
-		c.releaseSnapshots()
-		c.shutdown()
-		s.forget(c)
-	}()
-	bw := bufio.NewWriterSize(c.nc, 32<<10)
-	for {
-		req, err := readRequest(c.br)
-		if err != nil {
-			return
-		}
-		select {
-		case s.pendingSem <- struct{}{}:
-		case <-c.closed:
-			return
-		}
-		s.inflight.Add(1)
-		status, payload := s.process(c, req)
-		<-s.pendingSem
-		s.inflight.Done()
-		if err := writeResponse(bw, status, payload); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// process executes one request synchronously (the legacy path).
-func (s *Server) process(c *conn, req request) (byte, []byte) {
-	switch req.op {
-	case OpPut, OpDelete, OpMPut, OpDelRange:
-		var ops []kvstore.BatchOp
-		switch req.op {
-		case OpPut:
-			if len(req.key) == 0 {
-				return StatusError, []byte("put: empty key")
-			}
-			ops = []kvstore.BatchOp{{Key: req.key, Value: req.val}}
-		case OpDelete:
-			if len(req.key) == 0 {
-				return StatusError, []byte("delete: empty key")
-			}
-			ops = []kvstore.BatchOp{{Key: req.key, Delete: true}}
-		case OpMPut:
-			var err error
-			ops, err = DecodeBatchPayload(req.val)
-			if err != nil {
-				return StatusError, []byte(err.Error())
-			}
-			if msg := s.validateBatch(ops); msg != "" {
-				return StatusError, []byte(msg)
-			}
-			if len(ops) == 0 {
-				return StatusOK, nil
-			}
-		case OpDelRange:
-			var msg string
-			ops, msg = s.delRangeOps(req)
-			if msg != "" {
-				return StatusError, []byte(msg)
-			}
-			if len(ops) == 0 {
-				return StatusOK, nil
-			}
-		}
-		ch := make(chan tresp, 1)
-		s.batch.submit(submission{ops: ops, respond: func(status byte, payload []byte) {
-			ch <- tresp{status: status, payload: payload}
-		}})
-		r := <-ch
-		return r.status, r.payload
-	default:
-		return s.handleRead(c, req)
-	}
 }
 
 // handleRead serves the non-mutating ops (and rejects unknown ones).
@@ -769,230 +672,4 @@ func (s *Server) Close() error {
 	// batcher after it finishes the queued tail.
 	s.batch.stop()
 	return nil
-}
-
-// Client is a synchronous protocol-v1 client for one connection: one
-// request in flight per round trip. It is kept for backward
-// compatibility and as the non-pipelined reference point; use
-// internal/client for the pipelined client. It is safe for serialized
-// use; open one client per goroutine for concurrency.
-type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-}
-
-// Dial connects to a server with the legacy protocol.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn}, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-func (c *Client) roundTrip(op byte, key, val []byte) (byte, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := writeRequest(c.conn, op, key, val); err != nil {
-		return 0, nil, err
-	}
-	return readResponse(c.conn)
-}
-
-// Get fetches the newest value for key; kvstore.ErrNotFound if absent.
-func (c *Client) Get(key []byte) ([]byte, error) {
-	status, payload, err := c.roundTrip(OpGet, key, nil)
-	if err != nil {
-		return nil, err
-	}
-	switch status {
-	case StatusOK:
-		return payload, nil
-	case StatusNotFound:
-		return nil, kvstore.ErrNotFound
-	default:
-		return nil, fmt.Errorf("server: %s", payload)
-	}
-}
-
-// Put stores a key-value pair.
-func (c *Client) Put(key, value []byte) error {
-	status, payload, err := c.roundTrip(OpPut, key, value)
-	if err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return fmt.Errorf("server: %s", payload)
-	}
-	return nil
-}
-
-// Delete removes a key.
-func (c *Client) Delete(key []byte) error {
-	status, payload, err := c.roundTrip(OpDelete, key, nil)
-	if err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return fmt.Errorf("server: %s", payload)
-	}
-	return nil
-}
-
-// MPut applies a batch of writes in one round trip. With a batch-capable
-// store behind the server the whole batch commits atomically (one WAL
-// append, consecutive sequence numbers); otherwise it is applied as
-// individual writes in order.
-func (c *Client) MPut(ops []kvstore.BatchOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	status, payload, err := c.roundTrip(OpMPut, nil, EncodeBatchPayload(ops))
-	if err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return fmt.Errorf("server: %s", payload)
-	}
-	return nil
-}
-
-// DeleteRange deletes every key k with start ≤ k < end (empty end =
-// unbounded) in one round trip. The server refuses if its store has no
-// range-delete support.
-func (c *Client) DeleteRange(start, end []byte) error {
-	status, payload, err := c.roundTrip(OpDelRange, start, end)
-	if err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return fmt.Errorf("server: %s", payload)
-	}
-	return nil
-}
-
-// GetMulti reads several keys in one round trip. Results are
-// positional: values[i] and errs[i] answer keys[i], with
-// kvstore.ErrNotFound per missing key; a transport or server failure is
-// reported in every errs[i].
-func (c *Client) GetMulti(keys [][]byte) ([][]byte, []error) {
-	return c.mget(0, keys)
-}
-
-func (c *Client) mget(snapID uint64, keys [][]byte) ([][]byte, []error) {
-	values := make([][]byte, len(keys))
-	errs := make([]error, len(keys))
-	if len(keys) == 0 {
-		return values, errs
-	}
-	fail := func(err error) ([][]byte, []error) {
-		for i := range errs {
-			errs[i] = err
-		}
-		return values, errs
-	}
-	status, payload, err := c.roundTrip(OpMGet, nil, EncodeMGetRequest(snapID, keys))
-	if err != nil {
-		return fail(err)
-	}
-	if status != StatusOK {
-		return fail(fmt.Errorf("server: %s", payload))
-	}
-	vs, es, err := DecodeMGetResponse(payload)
-	if err != nil {
-		return fail(err)
-	}
-	if len(vs) != len(keys) {
-		return fail(fmt.Errorf("server: mget answered %d of %d keys", len(vs), len(keys)))
-	}
-	return vs, es
-}
-
-// ClientSnap is a server-side snapshot captured over a legacy
-// connection; see the pipelined client's Snap for the full story.
-type ClientSnap struct {
-	c  *Client
-	id uint64
-}
-
-// Snapshot captures a consistent snapshot on the server.
-func (c *Client) Snapshot() (*ClientSnap, error) {
-	status, payload, err := c.roundTrip(OpSnap, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != StatusOK {
-		return nil, fmt.Errorf("server: %s", payload)
-	}
-	if len(payload) != 8 {
-		return nil, fmt.Errorf("server: malformed snapshot id")
-	}
-	return &ClientSnap{c: c, id: binary.LittleEndian.Uint64(payload)}, nil
-}
-
-// Get returns the value key had when the snapshot was captured.
-func (s *ClientSnap) Get(key []byte) ([]byte, error) {
-	var id [8]byte
-	binary.LittleEndian.PutUint64(id[:], s.id)
-	status, payload, err := s.c.roundTrip(OpSnapGet, key, id[:])
-	if err != nil {
-		return nil, err
-	}
-	switch status {
-	case StatusOK:
-		return payload, nil
-	case StatusNotFound:
-		return nil, kvstore.ErrNotFound
-	default:
-		return nil, fmt.Errorf("server: %s", payload)
-	}
-}
-
-// GetMulti reads several keys from the snapshot's cut; all answers are
-// mutually consistent.
-func (s *ClientSnap) GetMulti(keys [][]byte) ([][]byte, []error) {
-	return s.c.mget(s.id, keys)
-}
-
-// Close releases the snapshot on the server.
-func (s *ClientSnap) Close() error {
-	var id [8]byte
-	binary.LittleEndian.PutUint64(id[:], s.id)
-	status, payload, err := s.c.roundTrip(OpSnapRel, nil, id[:])
-	if err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return fmt.Errorf("server: %s", payload)
-	}
-	return nil
-}
-
-// Scan returns up to limit ordered key-value pairs starting at start.
-func (c *Client) Scan(start []byte, limit int) ([][2][]byte, error) {
-	var lim [4]byte
-	binary.LittleEndian.PutUint32(lim[:], uint32(limit))
-	status, payload, err := c.roundTrip(OpScan, start, lim[:])
-	if err != nil {
-		return nil, err
-	}
-	if status != StatusOK {
-		return nil, fmt.Errorf("server: %s", payload)
-	}
-	return DecodeScanPayload(payload)
-}
-
-// Stats returns the server's cost-accounting line.
-func (c *Client) Stats() (string, error) {
-	status, payload, err := c.roundTrip(OpStats, nil, nil)
-	if err != nil {
-		return "", err
-	}
-	if status != StatusOK {
-		return "", fmt.Errorf("server: %s", payload)
-	}
-	return string(payload), nil
 }

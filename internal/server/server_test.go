@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"bytes"
@@ -6,22 +6,22 @@ import (
 	"sync"
 	"testing"
 
+	"miodb/internal/client"
 	"miodb/internal/core"
 	"miodb/internal/kvstore"
+	"miodb/internal/server"
 	"miodb/internal/shard"
 )
 
-type miodbStore struct{ *core.DB }
-
-func (s miodbStore) Flush() error { return s.DB.FlushAll() }
-
-func startServer(t *testing.T) (*Server, *Client) {
+// startServer serves a fresh single-engine store and returns the server,
+// its address, and a connected client; all are cleaned up with the test.
+func startServer(t *testing.T) (*server.Server, string, *client.Conn) {
 	t.Helper()
 	db, err := core.Open(core.Options{MemTableSize: 16 << 10, Levels: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(miodbStore{db})
+	srv := server.New(coreStore{db})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -30,16 +30,16 @@ func startServer(t *testing.T) (*Server, *Client) {
 		srv.Close()
 		db.Close()
 	})
-	c, err := Dial(addr.String())
+	c, err := client.Dial(addr.String(), client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return srv, c
+	return srv, addr.String(), c
 }
 
 func TestClientServerRoundTrip(t *testing.T) {
-	_, c := startServer(t)
+	_, _, c := startServer(t)
 
 	if err := c.Put([]byte("hello"), []byte("world")); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 }
 
 func TestServerScan(t *testing.T) {
-	_, c := startServer(t)
+	_, _, c := startServer(t)
 	for i := 0; i < 50; i++ {
 		if err := c.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -87,7 +87,7 @@ func TestServerScan(t *testing.T) {
 }
 
 func TestServerStats(t *testing.T) {
-	_, c := startServer(t)
+	_, _, c := startServer(t)
 	c.Put([]byte("k"), []byte("v"))
 	c.Get([]byte("k"))
 	line, err := c.Stats()
@@ -97,11 +97,13 @@ func TestServerStats(t *testing.T) {
 	if !bytes.Contains([]byte(line), []byte("puts=1")) || !bytes.Contains([]byte(line), []byte("gets=1")) {
 		t.Errorf("stats line = %q", line)
 	}
+	if !bytes.Contains([]byte(line), []byte("lat_put_p50_us=")) {
+		t.Errorf("stats missing latency section: %q", line)
+	}
 }
 
 func TestConcurrentClients(t *testing.T) {
-	srv, _ := startServer(t)
-	addr := srv.ln.Addr().String()
+	_, addr, _ := startServer(t)
 
 	const clients = 4
 	const perClient = 200
@@ -111,7 +113,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := client.Dial(addr, client.Options{})
 			if err != nil {
 				errCh <- err
 				return
@@ -139,14 +141,14 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestClientMPut(t *testing.T) {
-	_, c := startServer(t)
+	_, _, c := startServer(t)
 
 	ops := []kvstore.BatchOp{
 		{Key: []byte("m1"), Value: []byte("v1")},
 		{Key: []byte("m2"), Value: []byte("v2")},
 		{Key: []byte("m3"), Value: []byte("v3")},
 	}
-	if err := c.MPut(ops); err != nil {
+	if err := c.Batch(ops); err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range ops {
@@ -156,7 +158,7 @@ func TestClientMPut(t *testing.T) {
 		}
 	}
 	// A batch mixing writes and deletes applies in order.
-	if err := c.MPut([]kvstore.BatchOp{
+	if err := c.Batch([]kvstore.BatchOp{
 		{Key: []byte("m1"), Value: []byte("v1b")},
 		{Key: []byte("m2"), Delete: true},
 	}); err != nil {
@@ -169,14 +171,13 @@ func TestClientMPut(t *testing.T) {
 		t.Fatalf("Get(m2) after batched delete = %v", err)
 	}
 	// Empty batch is a no-op.
-	if err := c.MPut(nil); err != nil {
+	if err := c.Batch(nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestConcurrentMPutClients(t *testing.T) {
-	srv, _ := startServer(t)
-	addr := srv.ln.Addr().String()
+	_, addr, _ := startServer(t)
 
 	const clients = 4
 	const batches = 40
@@ -187,7 +188,7 @@ func TestConcurrentMPutClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := client.Dial(addr, client.Options{})
 			if err != nil {
 				errCh <- err
 				return
@@ -201,7 +202,7 @@ func TestConcurrentMPutClients(t *testing.T) {
 						Value: []byte(fmt.Sprintf("v%d.%d.%d", g, b, i)),
 					}
 				}
-				if err := c.MPut(ops); err != nil {
+				if err := c.Batch(ops); err != nil {
 					errCh <- fmt.Errorf("client %d: %w", g, err)
 					return
 				}
@@ -216,7 +217,7 @@ func TestConcurrentMPutClients(t *testing.T) {
 	}
 
 	// Every batched write from every client is visible.
-	c, err := Dial(addr)
+	c, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestBatchPayloadRoundTrip(t *testing.T) {
 		{Key: []byte("big"), Value: bytes.Repeat([]byte("v"), 4096)},
 		{Key: []byte("empty"), Value: nil},
 	}
-	out, err := DecodeBatchPayload(EncodeBatchPayload(in))
+	out, err := server.DecodeBatchPayload(server.EncodeBatchPayload(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestBatchPayloadRoundTrip(t *testing.T) {
 		}
 	}
 	for _, bad := range [][]byte{{1}, {1, 0, 0, 0}, {1, 0, 0, 0, 0, 5, 0, 0, 0}} {
-		if _, err := DecodeBatchPayload(bad); err == nil {
+		if _, err := server.DecodeBatchPayload(bad); err == nil {
 			t.Errorf("truncated batch payload %v accepted", bad)
 		}
 	}
@@ -267,7 +268,7 @@ func TestScanPayloadRoundTrip(t *testing.T) {
 		{[]byte(""), []byte("")},
 		{[]byte("key"), bytes.Repeat([]byte("v"), 1000)},
 	}
-	out, err := DecodeScanPayload(EncodeScanPayload(in))
+	out, err := server.DecodeScanPayload(server.EncodeScanPayload(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestScanPayloadRoundTrip(t *testing.T) {
 			t.Fatalf("pair %d mismatch", i)
 		}
 	}
-	if _, err := DecodeScanPayload([]byte{1, 2}); err == nil {
+	if _, err := server.DecodeScanPayload([]byte{1, 2}); err == nil {
 		t.Error("truncated payload accepted")
 	}
 }
@@ -290,12 +291,12 @@ func TestServerCloseIsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	srv := New(miodbStore{db})
+	srv := server.New(coreStore{db})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(addr.String())
+	c, err := client.Dial(addr.String(), client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestServerOverShardedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(r)
+	srv := server.New(r)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +331,7 @@ func TestServerOverShardedStore(t *testing.T) {
 		srv.Close()
 		r.Close()
 	})
-	c, err := Dial(addr.String())
+	c, err := client.Dial(addr.String(), client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +350,7 @@ func TestServerOverShardedStore(t *testing.T) {
 	for i := 100; i < 120; i++ {
 		batch = append(batch, kvstore.BatchOp{Key: []byte(fmt.Sprintf("k%03d", i)), Value: []byte("b")})
 	}
-	if err := c.MPut(batch); err != nil {
+	if err := c.Batch(batch); err != nil {
 		t.Fatal(err)
 	}
 	// The scan is served by the merged cross-shard iterator: globally

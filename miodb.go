@@ -144,13 +144,11 @@ type Options struct {
 	// into the stall counters. See DESIGN.md §11.
 	Admission *AdmissionOptions
 
-	// DisableGroupCommit turns off the leader-based group-commit write
-	// pipeline, restoring the serialized per-record write path (an
-	// ablation for comparison; the pipeline is on by default).
+	// Deprecated: has no effect. Writes always go through the
+	// group-commit pipeline; the serialized write path was removed.
 	DisableGroupCommit bool
-	// DisableEpochReads turns off the lock-free read path, restoring
-	// mutex-refcount version pinning (an ablation for comparison; epoch
-	// reads are on by default).
+	// Deprecated: has no effect. Reads always pin versions through the
+	// lock-free epoch path; the mutex-refcount read path was removed.
 	DisableEpochReads bool
 }
 
@@ -258,12 +256,6 @@ func (opts *Options) coreOptions() core.Options {
 	co.ValueLog = opts.ValueLog
 	co.Simulate = opts.Simulate
 	co.TimeScale = opts.TimeScale
-	if opts.DisableGroupCommit {
-		co.GroupCommit = core.Bool(false)
-	}
-	if opts.DisableEpochReads {
-		co.EpochReads = core.Bool(false)
-	}
 	if opts.UseSSD {
 		co.SSD = &core.SSDOptions{}
 	}

@@ -391,10 +391,8 @@ func TestPublicValueLog(t *testing.T) {
 	}
 }
 
-// TestToggleForms: the plain Disable* toggles must configure a working
-// store, alone and together (the deprecated GroupCommit pointer form and
-// its Bool helper were removed from the public surface; internal/core
-// keeps the pointer option for its ablation tests).
+// TestToggleForms: the deprecated no-op Disable* fields must still open
+// a working store, alone, together and sharded.
 func TestToggleForms(t *testing.T) {
 	for _, tc := range []struct {
 		name string
