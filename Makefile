@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check torture apicheck bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize profile repro clean
+.PHONY: all build vet test race check torture soak apicheck bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize profile repro clean
 
 all: check
 
@@ -25,6 +25,15 @@ race:
 # recoveries under the race detector (50+ cycles; deterministic per seed).
 torture:
 	$(GO) test -race ./internal/core -run 'TestCrashTorture|TestDoubleCrashDuringRecovery' -v
+
+# Torture soak: rerun TestCrashTorture, TestCrashTortureValueLog and the
+# shard torture SOAK times each, print each test's failure count, and
+# fail on any failure. Kept out of check and CI while the rare acked-write
+# loss these tests still hit (see ROADMAP.md) is open.
+SOAK ?= 200
+
+soak:
+	GO=$(GO) SOAK=$(SOAK) sh scripts/soak.sh
 
 # Public-API break detection for the root miodb package, against the
 # previous tag (or commit). Soft by default: skips without the apidiff

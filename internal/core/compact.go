@@ -10,79 +10,6 @@ import (
 	"miodb/internal/vaddr"
 )
 
-// compactLoop is the per-level zero-copy compaction thread (§4.5): as soon
-// as its level holds two PMTables, it merges the two oldest and pushes the
-// result into the level below. Levels are unbounded, so a slow merge below
-// never blocks a merge above — the non-blocking parallel compaction that
-// distinguishes MioDB from RocksDB-style parallel compaction.
-//
-// A persistent device or manifest failure latches the store degraded and
-// stops the loop (reads keep being served through the version chain).
-func (db *DB) compactLoop(level int) {
-	defer db.wg.Done()
-	for {
-		db.mu.Lock()
-		for !db.levelNeedsMergeLocked(level) && !db.closed && db.bgErr == nil {
-			db.cond.Wait()
-		}
-		if db.abandon || db.bgErr != nil || (db.closed && !db.levelNeedsMergeLocked(level)) {
-			db.mu.Unlock()
-			return
-		}
-		db.mu.Unlock()
-		if err := db.mergeOnce(level); err != nil {
-			db.degrade(fmt.Sprintf("compaction L%d", level), err)
-			return
-		}
-	}
-}
-
-// singleCompactLoop is the ablation counterpart: one goroutine serves
-// every level round-robin, plus the lazy-copy duty.
-func (db *DB) singleCompactLoop() {
-	defer db.wg.Done()
-	for {
-		worked := false
-		for level := 0; level < db.opts.Levels-1; level++ {
-			db.mu.Lock()
-			need := db.levelNeedsMergeLocked(level) && db.bgErr == nil
-			db.mu.Unlock()
-			if need {
-				if err := db.mergeOnce(level); err != nil {
-					db.degrade(fmt.Sprintf("compaction L%d", level), err)
-					return
-				}
-				worked = true
-			}
-		}
-		if worked {
-			continue
-		}
-		db.mu.Lock()
-		if db.closed || db.abandon || db.bgErr != nil {
-			db.mu.Unlock()
-			return
-		}
-		if !db.anyMergeNeededLocked() {
-			db.cond.Wait()
-		}
-		stop := db.closed || db.abandon || db.bgErr != nil
-		db.mu.Unlock()
-		if stop {
-			return
-		}
-	}
-}
-
-func (db *DB) anyMergeNeededLocked() bool {
-	for level := 0; level < db.opts.Levels-1; level++ {
-		if db.levelNeedsMergeLocked(level) {
-			return true
-		}
-	}
-	return false
-}
-
 // levelNeedsMergeLocked reports whether the level has two settled tables
 // ready to merge (an in-flight merge in the level defers further picks).
 func (db *DB) levelNeedsMergeLocked(level int) bool {
@@ -107,8 +34,10 @@ func (db *DB) mergeActiveLocked(level int) bool {
 	return false
 }
 
-// mergeOnce zero-copy-merges the two oldest tables of the level and
-// installs the result in the level below.
+// mergeOnce is a merge lane's job (§4.5): it zero-copy-merges the two
+// oldest tables of the level and installs the result in the level below.
+// A persistent device or manifest failure degrades the store; reads keep
+// being served through the version chain.
 func (db *DB) mergeOnce(level int) error {
 	start := time.Now()
 
@@ -268,9 +197,6 @@ func (db *DB) mergeOnce(level int) error {
 	db.mu.Unlock()
 
 	db.st.AddCompaction(time.Since(start))
-	// Dropped pointer entries may have pushed a segment past the GC
-	// threshold.
-	db.kickValueLogGC()
 	return nil
 }
 
@@ -305,44 +231,11 @@ func (db *DB) copyMerge(m *pmtable.Merge) (*pmtable.Table, func(), error) {
 	}, nil
 }
 
-// lazyLoop drains the last buffer level into the repository (in-memory
-// mode) or into L0 SSTables on the SSD (hierarchy mode), oldest table
-// first — the lazy-copy compaction of §4.4. Afterwards it releases every
-// arena the absorbed table owned, once no reader version references them.
-func (db *DB) lazyLoop() {
-	defer db.wg.Done()
-	last := db.opts.Levels - 1
-	for {
-		db.mu.Lock()
-		for !db.lazyWorkLocked(last) && !db.closed && db.bgErr == nil {
-			db.cond.Wait()
-		}
-		if db.abandon || db.bgErr != nil || (db.closed && !db.lazyWorkLocked(last)) {
-			db.mu.Unlock()
-			return
-		}
-		entries := db.current.Load().levels[last]
-		e := entries[len(entries)-1].(tableEntry) // oldest
-		db.mu.Unlock()
-
-		if err := db.lazyOne(last, e.t); err != nil {
-			db.degrade("lazy compaction", err)
-			return
-		}
-	}
-}
-
-// lazyWorkLocked reports whether the bottom buffer level has a settled
-// table to absorb.
-func (db *DB) lazyWorkLocked(last int) bool {
-	entries := db.current.Load().levels[last]
-	if len(entries) == 0 {
-		return false
-	}
-	_, ok := entries[len(entries)-1].(tableEntry)
-	return ok
-}
-
+// lazyOne is the lazy lane's job: it drains table t, the oldest of the
+// last buffer level, into the repository (in-memory mode) or into L0
+// SSTables on the SSD (hierarchy mode) — the lazy-copy compaction of
+// §4.4. Afterwards it releases every arena t owned, once no reader
+// version references them.
 func (db *DB) lazyOne(last int, t *pmtable.Table) error {
 	start := time.Now()
 	db.mu.Lock()
@@ -425,29 +318,25 @@ func (db *DB) lazyOne(last int, t *pmtable.Table) error {
 		return err
 	}
 	db.st.AddCompaction(time.Since(start))
-	db.kickValueLogGC()
 	return nil
 }
 
 // maybeCompactRepo rebuilds the repository when superseded nodes dominate
 // it, bounding the NVM footprint of update-heavy workloads. Triggering
 // only when garbage exceeds 2× live data keeps the amortized extra write
-// traffic below 0.5× of the updates that created the garbage.
+// traffic below 0.5× of the updates that created the garbage. Only the
+// lazy lane runs it, so two rebuilds never overlap.
 func (db *DB) maybeCompactRepo() error {
 	db.mu.Lock()
 	repo := db.repo
-	compacting := db.repoCompacting
 	db.mu.Unlock()
-	if repo == nil || compacting {
+	if repo == nil {
 		return nil
 	}
 	garbage, live := repo.GarbageBytes(), repo.UserBytes()
 	if garbage < 4*db.opts.MemTableSize || garbage < 2*live {
 		return nil
 	}
-	db.mu.Lock()
-	db.repoCompacting = true
-	db.mu.Unlock()
 
 	// Capture the tombstone set before rebuilding: the fresh repository
 	// applies exactly these (registration is seq-ordered, so the captured
@@ -476,17 +365,10 @@ func (db *DB) maybeCompactRepo() error {
 		fresh, err = repo.CompactedWith(db.opts.ChunkSize, dead, onDrop)
 	}
 	if err != nil {
-		// Clear the latch on the failure path too: leaving it set would
-		// wedge WaitIdle and block any future rebuild for good.
-		db.mu.Lock()
-		db.repoCompacting = false
-		db.cond.Broadcast()
-		db.mu.Unlock()
 		return fmt.Errorf("repo compact: %w", err)
 	}
 
 	db.mu.Lock()
-	db.repoCompacting = false
 	old := db.repo
 	db.repo = fresh
 	db.editVersionLocked(func(v *version) {
@@ -496,7 +378,6 @@ func (db *DB) maybeCompactRepo() error {
 		// The durable manifest still points at the old repository; it
 		// must never be released (reads go through the fresh one, which
 		// holds the same live content).
-		db.cond.Broadcast()
 		db.mu.Unlock()
 		return fmt.Errorf("manifest: %w", err)
 	}
@@ -507,11 +388,9 @@ func (db *DB) maybeCompactRepo() error {
 		db.repoAppliedSeq = dels[len(dels)-1].seq
 	}
 	if err := db.gcRangeTombstonesLocked(); err != nil {
-		db.cond.Broadcast()
 		db.mu.Unlock()
 		return fmt.Errorf("manifest: %w", err)
 	}
-	db.cond.Broadcast()
 	db.mu.Unlock()
 	return nil
 }

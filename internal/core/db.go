@@ -44,15 +44,9 @@ type DB struct {
 	fp    pmtable.FilterParams
 
 	// vlog is the value log behind key-value separation (nil when
-	// Options.ValueLog is nil — the byte-for-byte inline engine). The GC
-	// loop wakes on vlogKick (non-blocking sends from compaction drops
-	// and segment seals) and exits when vlogStop closes; stopVlog latches
-	// the close exactly once across Close and CrashForTest.
+	// Options.ValueLog is nil — the byte-for-byte inline engine).
 	vlog     *vlog.Store
 	vlogDisk *vfs.Disk // SSD-offload backing (OnSSD); nil otherwise
-	vlogStop chan struct{}
-	vlogKick chan struct{}
-	stopVlog sync.Once
 
 	// Group commit (LevelDB/RocksDB-style writer queue): concurrent
 	// callers of Put/Delete/Write enqueue a groupWriter under writeMu and
@@ -130,15 +124,18 @@ type DB struct {
 	readLevels []readLevelWork
 
 	// mu guards the version-chain edits and all structural state below.
-	mu             sync.Mutex
-	cond           *sync.Cond
-	oldest         *version
-	merges         []*activeMerge // at most one per level
-	repoCompacting bool           // a repository garbage rebuild is running
-	vlogGCKicked   bool           // a value-log GC kick awaits the GC loop
-	vlogGCRunning  bool           // the GC loop is running a round
-	closed         bool
-	abandon        bool // simulated crash: background loops exit without draining
+	mu      sync.Mutex
+	cond    *sync.Cond
+	oldest  *version
+	merges  []*activeMerge // at most one per level
+	closed  bool
+	abandon bool // simulated crash: no further background job starts
+	// Background jobs (sched.go): lanes[i] is set while lane i runs a
+	// job (nil until Open or Recover finishes), running counts those
+	// jobs, and mergeNext is where the next merge-lane scan starts.
+	lanes     []bool
+	running   int
+	mergeNext int
 	// bgErr is the sticky background error: once a background I/O path
 	// fails persistently the store degrades to read-only (see degrade.go).
 	bgErr error
@@ -153,8 +150,6 @@ type DB struct {
 	// with every remaining table/memtable entry newer than it — is spent
 	// and can be dropped from the side table and the manifest.
 	repoAppliedSeq uint64
-
-	wg sync.WaitGroup
 }
 
 // levelWork accumulates one level's compaction counters.
@@ -290,29 +285,9 @@ func (db *DB) newMemHandle() (*memHandle, error) {
 	return h, nil
 }
 
-func (db *DB) startBackground() {
-	db.wg.Add(1)
-	go db.flushLoop()
-	if !db.opts.DisableParallelCompaction {
-		for level := 0; level < db.opts.Levels-1; level++ {
-			db.wg.Add(1)
-			go db.compactLoop(level)
-		}
-	} else {
-		db.wg.Add(1)
-		go db.singleCompactLoop()
-	}
-	db.wg.Add(1)
-	go db.lazyLoop()
-	if db.vlog != nil {
-		db.wg.Add(1)
-		go db.vlogGCLoop()
-	}
-}
-
-// initValueLog builds the value-log store and its GC plumbing. The
-// manifest must already exist: every new segment is announced through a
-// manifest record before the first pointer into it can commit.
+// initValueLog builds the value-log store. The manifest must already
+// exist: every new segment is announced through a manifest record before
+// the first pointer into it can commit.
 func (db *DB) initValueLog() {
 	vc := db.opts.ValueLog
 	cfg := vlog.Config{SegmentSize: vc.SegmentSize, GCDeadRatio: vc.GCDeadRatio}
@@ -326,8 +301,6 @@ func (db *DB) initValueLog() {
 		db.vlog = vlog.NewNVM(db.nvm, cfg)
 	}
 	db.vlog.OnNewSegment = db.logVlogSegment
-	db.vlogStop = make(chan struct{})
-	db.vlogKick = make(chan struct{}, 1)
 }
 
 // Put writes a key-value pair.
@@ -1085,34 +1058,15 @@ func (db *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) err
 
 // WaitIdle blocks until all queued flushes, zero-copy merges, lazy-copy
 // compactions, and value-log GC rounds have drained (benchmarks call it
-// between load and read phases).
+// between load and read phases). A degraded store starts no new job, so
+// WaitIdle returns once the jobs already running end.
 func (db *DB) WaitIdle() {
 	db.mu.Lock()
-	// A degraded store's background loops have stopped: queued work will
-	// never drain, so waiting on it would hang forever.
-	for !db.idleLocked() && !db.closed && db.bgErr == nil {
-		db.cond.Wait()
-	}
+	db.waitJobsLocked()
 	db.mu.Unlock()
 	if db.ssd != nil {
 		db.ssd.WaitIdle()
 	}
-}
-
-func (db *DB) idleLocked() bool {
-	v := db.current.Load()
-	if len(v.imms) > 0 {
-		return false
-	}
-	if len(db.merges) > 0 || db.repoCompacting || db.vlogGCKicked || db.vlogGCRunning {
-		return false
-	}
-	for level := 0; level < len(v.levels)-1; level++ {
-		if len(v.levels[level]) >= 2 {
-			return false
-		}
-	}
-	return len(v.levels[len(v.levels)-1]) == 0
 }
 
 // FlushAll forces the active memtable out and waits for the store to
@@ -1171,7 +1125,7 @@ func (db *DB) Close() error {
 	}
 	db.mu.Unlock()
 
-	// Let queued work drain before stopping the loops.
+	// Let queued work, GC rounds included, drain before closing.
 	db.WaitIdle()
 
 	db.mu.Lock()
@@ -1182,9 +1136,8 @@ func (db *DB) Close() error {
 	db.closed = true
 	db.closedFlag.Store(true)
 	db.cond.Broadcast()
+	db.waitJobsLocked()
 	db.mu.Unlock()
-	db.stopValueLogGC()
-	db.wg.Wait()
 	db.waitReadersDrained()
 	if db.ssd != nil {
 		db.ssd.Close()

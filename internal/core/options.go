@@ -1,7 +1,7 @@
 // Package core implements the MioDB engine: the paper's elastic multi-level
 // PMTable buffer over a DRAM write buffer and a huge bottom-level
 // repository, with one-piece flushing, zero-copy + lazy-copy compaction,
-// per-level parallel compaction threads, bloom-filtered reads, write-ahead
+// one parallel compaction lane per level, bloom-filtered reads, write-ahead
 // logging, and crash recovery. See DESIGN.md for the system map.
 package core
 
@@ -31,9 +31,10 @@ type Options struct {
 	// DisableWAL turns off write-ahead logging (benchmark ablation).
 	DisableWAL bool
 
-	// DisableParallelCompaction serves all levels from a single
-	// round-robin compaction goroutine instead of one per level (§4.5) —
-	// the ablation Fig 9 contrasts with.
+	// DisableParallelCompaction runs every level's merges on one shared
+	// lane, round-robin, instead of one lane per level (§4.5) — the
+	// ablation Fig 9 contrasts with. Flush, lazy copy and value-log GC
+	// keep their own lanes.
 	DisableParallelCompaction bool
 
 	// DisableZeroCopyMerge makes merges in the elastic buffer physically

@@ -23,13 +23,13 @@ type CrashImage struct {
 	NVM   *nvm.Device
 }
 
-// CrashForTest simulates a power failure: background goroutines are
-// abandoned at their next checkpoint (queued flushes and lazy copies are
-// dropped on the floor, exactly as a crash would), and the NVM state is
-// handed back for recovery. The DB is unusable afterwards.
+// CrashForTest simulates a power failure: no further background job
+// starts (queued flushes and lazy copies are dropped on the floor,
+// exactly as a crash would), and the NVM state is handed back for
+// recovery. The DB is unusable afterwards.
 //
-// An in-flight zero-copy merge completes its current Run before the
-// goroutine observes the abandon flag — goroutines cannot be killed
+// A job already running — an in-flight zero-copy merge, say — completes
+// before CrashForTest returns: goroutines cannot be killed
 // mid-instruction in-process. Mid-merge crash recovery is exercised
 // directly at the pmtable level (Merge.Resume) and through manifest-driven
 // recovery tests that construct interrupted states.
@@ -39,9 +39,8 @@ func (db *DB) CrashForTest() *CrashImage {
 	db.closedFlag.Store(true)
 	db.abandon = true
 	db.cond.Broadcast()
+	db.waitJobsLocked()
 	db.mu.Unlock()
-	db.stopValueLogGC()
-	db.wg.Wait()
 	if db.ssd != nil {
 		db.ssd.Close()
 	}

@@ -142,7 +142,7 @@ func (p pendingOp) covers(k string) bool {
 // through pointer resolution — so "no pointer ever resolves into a
 // reclaimed or torn segment" is checked by the same sweep, and
 // CheckRegionAccounting's leak audit extends to value-log segments.
-func RunTorture(cfg TortureConfig) (*TortureReport, error) {
+func RunTorture(cfg TortureConfig) (_ *TortureReport, err error) {
 	if cfg.Cycles <= 0 {
 		cfg.Cycles = 50
 	}
@@ -161,6 +161,15 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rep := &TortureReport{}
 
+	// Every failure names what it takes to reproduce it.
+	cycle, crash := 0, "none"
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("torture seed %d, cycle %d, crash %s, value log %t: %w",
+				cfg.Seed, cycle, crash, cfg.ValueLog, err)
+		}
+	}()
+
 	db, err := Open(opts)
 	if err != nil {
 		return nil, err
@@ -177,7 +186,7 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 	var pending pendingOp
 	var seqFloor uint64 // seq of the newest acked update
 
-	for cycle := 0; cycle < cfg.Cycles; cycle++ {
+	for ; cycle < cfg.Cycles; cycle++ {
 		_, dev := db.Devices()
 
 		// Arm this cycle's crash mode.
@@ -185,13 +194,16 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 		case m < 4:
 			budget := 1 + rng.Int63n(int64(cfg.Ops)*300)
 			dev.SetFaultPlan(nvm.NewFaultPlan(rng.Int63()).CrashAfterBytes(budget).TornWrites())
+			crash = fmt.Sprintf("byte budget %d", budget)
 			rep.ByteCrashes++
 		case m < 6:
 			n := 1 + rng.Intn(cfg.Ops*2)
 			dev.SetFaultPlan(nvm.NewFaultPlan(rng.Int63()).CrashAfterWrites(n).TornWrites())
+			crash = fmt.Sprintf("op count %d", n)
 			rep.OpCrashes++
 		default:
 			dev.SetFaultPlan(nil)
+			crash = "clean"
 			rep.CleanCrashes++
 		}
 
@@ -207,7 +219,7 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 				end := fmt.Sprintf("k%04d", a+1+rng.Intn(24))
 				if err := db.DeleteRange([]byte(start), []byte(end)); err != nil {
 					if dev.Faults() == nil {
-						return nil, fmt.Errorf("cycle %d op %d: range delete failed with no fault armed: %w", cycle, op, err)
+						return nil, fmt.Errorf("op %d: range delete failed with no fault armed: %w", op, err)
 					}
 					pending = pendingOp{valid: true, key: start, end: end, rangeDel: true}
 					rep.OpsUncertain++
@@ -242,7 +254,7 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 			}
 			if err != nil {
 				if dev.Faults() == nil {
-					return nil, fmt.Errorf("cycle %d op %d: write failed with no fault armed: %w", cycle, op, err)
+					return nil, fmt.Errorf("op %d: write failed with no fault armed: %w", op, err)
 				}
 				pending = pendingOp{valid: true, key: k, val: v, del: del}
 				rep.OpsUncertain++
@@ -263,7 +275,7 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 			// the store degraded) — but never with no fault armed.
 			if cfg.ValueLog && rng.Intn(60) == 0 {
 				if _, gcErr := db.RunValueLogGC(); gcErr != nil && dev.Faults() == nil && db.Err() == nil {
-					return nil, fmt.Errorf("cycle %d op %d: vlog GC failed with no fault armed: %w", cycle, op, gcErr)
+					return nil, fmt.Errorf("op %d: vlog GC failed with no fault armed: %w", op, gcErr)
 				}
 			}
 
@@ -272,7 +284,7 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 			if rng.Intn(24) == 0 {
 				probe := fmt.Sprintf("k%04d", rng.Intn(keyspace))
 				if err := verifyKey(db, probe, model, pendingOp{}); err != nil {
-					return nil, fmt.Errorf("cycle %d live probe: %w", cycle, err)
+					return nil, fmt.Errorf("live probe: %w", err)
 				}
 			}
 		}
@@ -306,7 +318,7 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 				break
 			}
 			if img.NVM.Faults() == nil {
-				return nil, fmt.Errorf("cycle %d: recover (attempt %d): %w", cycle, attempt, err)
+				return nil, fmt.Errorf("recover (attempt %d): %w", attempt, err)
 			}
 			rep.DoubleCrashes++
 		}
@@ -321,7 +333,7 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 			img.NVM.SetFaultPlan(nil)
 			db, err = Recover(img, opts)
 			if err != nil {
-				return nil, fmt.Errorf("cycle %d: clean re-recover: %w", cycle, err)
+				return nil, fmt.Errorf("clean re-recover: %w", err)
 			}
 			rep.DoubleCrashes++
 			db.WaitIdle()
@@ -332,17 +344,17 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 		// re-reads every key through whatever relocations it performed.
 		if cfg.ValueLog {
 			if _, gcErr := db.RunValueLogGC(); gcErr != nil && db.Err() == nil {
-				return nil, fmt.Errorf("cycle %d: post-recovery vlog GC: %w", cycle, gcErr)
+				return nil, fmt.Errorf("post-recovery vlog GC: %w", gcErr)
 			}
 		}
 
 		// Verify: sequence floor, every key's value, structure, regions.
 		if got := db.LastSeq(); got < seqFloor {
-			return nil, fmt.Errorf("cycle %d: seq regressed: recovered %d < acked floor %d", cycle, got, seqFloor)
+			return nil, fmt.Errorf("seq regressed: recovered %d < acked floor %d", got, seqFloor)
 		}
 		for k := range ever {
 			if err := verifyKey(db, k, model, pending); err != nil {
-				return nil, fmt.Errorf("cycle %d: %w", cycle, err)
+				return nil, err
 			}
 			rep.KeysChecked++
 		}
@@ -380,10 +392,10 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 			pending = pendingOp{}
 		}
 		if err := db.CheckConsistency(); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", cycle, err)
+			return nil, err
 		}
 		if err := db.CheckRegionAccounting(); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", cycle, err)
+			return nil, err
 		}
 
 		rep.Cycles++

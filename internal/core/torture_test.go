@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestCrashTorture is the randomized crash-recovery harness: dozens of
 // write / crash / recover / verify cycles with injected device crashes,
@@ -95,5 +98,26 @@ func TestCrashTortureNoWAL(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		db2.Close()
+	}
+}
+
+// TestTortureErrorNamesReproduction checks that a failed run reports what
+// reproduces it. An SSD-mode store cannot be recovered, so the first
+// cycle's recovery fails.
+func TestTortureErrorNamesReproduction(t *testing.T) {
+	opts := tortureOpts()
+	opts.SSD = &SSDOptions{}
+	_, err := RunTorture(TortureConfig{Seed: 3, Cycles: 2, Ops: 50, Opts: &opts})
+	if err == nil {
+		t.Fatal("torture of an unrecoverable store passed")
+	}
+	msg := err.Error()
+	for _, want := range []string{"seed 3,", "cycle 0,", "value log false", "recover"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q does not name %q", msg, want)
+		}
+	}
+	if !strings.Contains(msg, "crash byte budget ") && !strings.Contains(msg, "crash op count ") && !strings.Contains(msg, "crash clean,") {
+		t.Errorf("error %q does not name the cycle's crash mode", msg)
 	}
 }

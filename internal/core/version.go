@@ -172,5 +172,6 @@ func (db *DB) editVersionLocked(edit func(v *version), garbage ...func()) {
 	db.sweepMu.Lock()
 	db.advanceAndSweepLocked()
 	db.sweepMu.Unlock()
+	db.scheduleLocked()
 	db.cond.Broadcast()
 }

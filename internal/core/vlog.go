@@ -35,74 +35,21 @@ import (
 // relocations only target the active segment), so the pre-scan's live
 // set can only shrink before step 2's recheck.
 
-// kickValueLogGC nudges the GC loop (non-blocking). Compaction drops
-// call it. The kick is recorded under db.mu before it is sent, so
-// WaitIdle never sees the store idle between a kick and the round that
-// serves it.
-func (db *DB) kickValueLogGC() {
-	if db.vlog == nil {
-		return
-	}
-	db.mu.Lock()
-	db.vlogGCKicked = true
-	db.mu.Unlock()
-	select {
-	case db.vlogKick <- struct{}{}:
-	default:
-	}
-}
-
-// stopValueLogGC latches the GC stop channel closed (idempotent across
-// Close and CrashForTest).
-func (db *DB) stopValueLogGC() {
-	if db.vlog == nil {
-		return
-	}
-	db.stopVlog.Do(func() { close(db.vlogStop) })
-}
-
-// vlogGCLoop runs in the background and reclaims eligible segments
-// whenever compaction activity kicks it.
-func (db *DB) vlogGCLoop() {
-	defer db.wg.Done()
-	for {
-		select {
-		case <-db.vlogStop:
-			return
-		case <-db.vlogKick:
-		}
-		db.mu.Lock()
-		db.vlogGCKicked = false
-		db.vlogGCRunning = true
-		db.mu.Unlock()
-		// Errors are sticky elsewhere (degraded mode) or transient to this
-		// round; either way the loop keeps serving later kicks.
-		_, _ = db.RunValueLogGC()
-		db.mu.Lock()
-		db.vlogGCRunning = false
-		db.cond.Broadcast()
-		db.mu.Unlock()
-	}
-}
-
 // RunValueLogGC reclaims value-log segments until none qualifies: every
 // sealed segment whose dead-space ratio is at or above the configured
 // GCDeadRatio has its live values relocated through the write path and
 // its memory queued for epoch-deferred release. It returns the number of
 // segments reclaimed. Tests and the torture harness call it directly for
-// deterministic GC placement; the background loop calls it on compaction
-// kicks. Safe to call concurrently with reads, writes, and snapshots.
+// deterministic GC placement; the GC lane runs it whenever a sealed
+// segment qualifies. A closed store stops it between segments and between
+// relocations. Safe to call concurrently with reads, writes, and
+// snapshots.
 func (db *DB) RunValueLogGC() (int, error) {
 	if db.vlog == nil {
 		return 0, nil
 	}
 	freed := 0
-	for {
-		select {
-		case <-db.vlogStop:
-			return freed, nil
-		default:
-		}
+	for !db.closedFlag.Load() {
 		id, ok := db.vlog.PickGC()
 		if !ok {
 			return freed, nil
@@ -112,6 +59,7 @@ func (db *DB) RunValueLogGC() (int, error) {
 		}
 		freed++
 	}
+	return freed, nil
 }
 
 // gcSegment relocates the live entries of one segment and frees it.
@@ -139,10 +87,8 @@ func (db *DB) gcSegment(id uint32) error {
 	}
 
 	for _, e := range entries {
-		select {
-		case <-db.vlogStop:
+		if db.closedFlag.Load() {
 			return nil
-		default:
 		}
 		db.commitMu.Lock()
 		rerr := db.relocateLocked(e)

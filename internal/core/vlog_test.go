@@ -107,8 +107,8 @@ func TestValueLogFullPipeline(t *testing.T) {
 	}
 }
 
-// TestWaitIdleCoversValueLogGC kicks a background GC round and checks
-// that WaitIdle waits it out: a round still holding its pre-scan pin or
+// TestWaitIdleCoversValueLogGC schedules background GC rounds and checks
+// that WaitIdle waits them out: a round still holding its pre-scan pin or
 // relocating values would leave the version chain undrained.
 func TestWaitIdleCoversValueLogGC(t *testing.T) {
 	db := mustOpen(t, vlogOpts())
@@ -120,7 +120,9 @@ func TestWaitIdleCoversValueLogGC(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		db.kickValueLogGC()
+		db.mu.Lock()
+		db.scheduleLocked()
+		db.mu.Unlock()
 		db.WaitIdle()
 		if err := db.CheckRegionAccounting(); err != nil {
 			t.Fatalf("round %d: %v", round, err)

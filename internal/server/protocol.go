@@ -64,9 +64,6 @@ const (
 	OpDelRange
 	// OpSnapRel releases a snapshot: val is the 8-byte snapshot id.
 	OpSnapRel
-
-	// opCount bounds the op-code space for per-op accounting tables.
-	opCount = OpSnapRel + 1
 )
 
 // Status codes.
@@ -84,35 +81,6 @@ const maxFrame = 64 << 20
 
 // validOp reports whether b is a defined op code.
 func validOp(b byte) bool { return b >= OpGet && b <= OpSnapRel }
-
-// opName names an op code for stats lines.
-func opName(op byte) string {
-	switch op {
-	case OpGet:
-		return "get"
-	case OpPut:
-		return "put"
-	case OpDelete:
-		return "delete"
-	case OpScan:
-		return "scan"
-	case OpStats:
-		return "stats"
-	case OpMPut:
-		return "mput"
-	case OpSnap:
-		return "snap"
-	case OpSnapGet:
-		return "snapget"
-	case OpMGet:
-		return "mget"
-	case OpDelRange:
-		return "delrange"
-	case OpSnapRel:
-		return "snaprel"
-	}
-	return fmt.Sprintf("op%d", op)
-}
 
 // readFrame reads one length-prefixed byte string.
 func readFrame(r io.Reader) ([]byte, error) {
